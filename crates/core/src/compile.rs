@@ -22,8 +22,8 @@
 //! a `&mut dyn PrimPort` here would pay a virtual call per charge, which
 //! measurably loses to the stack machine). Modeled
 //! `cpu_cycles`/`fpga_cycles` are therefore bit-identical across all
-//! three executors (the cycle-regression pins and the fuzz farm's sixth
-//! leg both assert this). Only wall-clock time changes.
+//! three executors (the cycle-regression pins and the fuzz farm's
+//! compiled legs both assert this). Only wall-clock time changes.
 //!
 //! Coverage is identical to the stack-machine compiler
 //! ([`crate::xform::compile_expr`]/[`crate::xform::compile_action`]):
@@ -31,30 +31,44 @@
 //! targets, and unbound variables, and the schedulers fall back to the
 //! AST interpreter for exactly those rules in every backend.
 //!
-//! ## Word-level lowering
+//! ## One lowering per rule, matched to the store
 //!
-//! On a flat-arena store ([`Store::new_flat`]) a second lowering pass
-//! removes the last source of boxed-`Value` traffic: the primitive-port
-//! boundary. Each rule is lowered twice — once to the boxed closures
-//! above (used verbatim on tree-backed stores), and once with a
-//! [`Design`]-derived layout table that lets scalar subexpressions flow
-//! as packed `u64` words end-to-end. Word-typed register reads, FIFO
-//! heads, and regfile cells come through
+//! Each rule is lowered once, for the store kind it will run on. On a
+//! tree-backed store ([`compile_expr`]/[`compile_action`]) every
+//! operand is a boxed [`Value`]. On a flat-arena store
+//! ([`Store::new_flat`]; [`compile_plan`]/[`compile_plans`]) a
+//! [`Design`]-derived layout table lets scalar subexpressions flow as
+//! packed `u64` words end-to-end, which removes the last source of
+//! boxed-`Value` traffic: the primitive-port boundary. Word-typed
+//! register reads, FIFO heads, and regfile cells come through
 //! [`Store::call_value_word_at`]/[`Store::call_action_word_at`] without
 //! ever materializing a `Value`; field names and element offsets of
 //! packed aggregates are resolved to bit offsets at lower time; and
 //! `MkVec`/`MkStruct` arguments to `enq`/register writes are packed
 //! directly into frame scratch words instead of building `Vec`/`Struct`
 //! heap values. Guard probes lowered entirely to the word domain return
-//! a bare `u64` verdict. Cost metering is bit-identical to the boxed
-//! path: every word closure charges the same [`Cost`] deltas at the
-//! same evaluation points, and any expression the word pass cannot
-//! prove chargeable-identically falls back to the boxed closure.
+//! a bare `u64` verdict.
+//!
+//! The flat lowering is a single bottom-up pass. Each node yields a word
+//! thunk with its scalar type when all its operands did and their types
+//! admit it, and a boxed thunk otherwise, with word operands wrapped in
+//! a (charge-free) rematerialization. Aggregate-access chains and
+//! aggregate method arguments stay open until their consumer picks the
+//! packed or the boxed form, so no subtree is lowered twice. Cost
+//! metering is bit-identical to the boxed path: every word closure
+//! charges the same [`Cost`] deltas at the same evaluation points, and
+//! any expression the word form cannot prove chargeable-identically is
+//! boxed.
+//!
+//! [`compile_plans_for`] picks the lowering by store kind. A lowering
+//! that meets the other store kind at run time (a runner whose store was
+//! swapped) is not run: [`NativeRule`]'s entry points fall back to the
+//! AST interpreter, which charges identical costs.
 
 use crate::ast::{Action, Expr, PrimId, PrimMethod, Target};
 use crate::design::Design;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::RuleOutcome;
+use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace, RuleOutcome};
 use crate::prim::PrimSpec;
 use crate::store::{Cost, ShadowPolicy, Store, Txn};
 use crate::types::{Layout, LayoutKind};
@@ -492,67 +506,86 @@ impl NativePort<'_> {
     }
 }
 
-/// An expression (typically a lifted guard) lowered to a native
-/// closure. When compiled against a [`Design`] (via [`compile_plan`]),
-/// it additionally carries a flat-store variant whose scalar traffic
-/// stays in unboxed words; the executor picks it iff the store is
-/// arena-backed.
-pub struct CompiledExpr {
-    thunk: ExprThunk,
-    /// Local-slot footprint.
-    pub slots: usize,
-    flat: Option<FlatExpr>,
-}
-
-/// The flat-store lowering of a guard expression.
-struct FlatExpr {
-    eval: FlatEval,
+/// Frame footprint of one lowering: boxed slots and scratch words.
+#[derive(Debug, Clone, Copy, Default)]
+struct Footprint {
     slots: usize,
     words: usize,
 }
 
-/// A fully word-lowered guard returns a bare `u64` verdict (no `Value`
-/// is ever materialized); anything else falls back to a boxed closure
-/// whose subexpressions may still take the word path internally.
-enum FlatEval {
+impl NativeFrame {
+    #[inline]
+    fn enter(&mut self, fp: Footprint) {
+        self.ensure(fp.slots);
+        self.ensure_words(fp.words);
+    }
+}
+
+/// An expression (typically a lifted guard) lowered to a native
+/// closure for one store kind: boxed for tree-backed stores
+/// ([`compile_expr`]), word-level for flat-arena stores ([`compile_plan`]).
+pub struct CompiledExpr {
+    eval: GuardEval,
+    frame: Footprint,
+    flat: bool,
+}
+
+/// A guard whose word lowering reaches its Bool root returns a bare
+/// `u64` verdict (no `Value` is ever materialized); anything else is a
+/// boxed closure whose subexpressions may still take the word path.
+enum GuardEval {
     Word(WordThunk),
     Boxed(ExprThunk),
 }
 
-/// The flat-store lowering of a rule body.
-struct FlatAction {
-    thunk: ActThunk,
-    slots: usize,
-    words: usize,
+impl CompiledExpr {
+    /// Whether this lowering runs on `store`: a flat lowering needs a
+    /// flat-arena store, a boxed one a tree-backed store.
+    pub fn fits(&self, store: &Store) -> bool {
+        self.flat == store.is_flat()
+    }
 }
 
 impl fmt::Debug for CompiledExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledExpr")
-            .field("slots", &self.slots)
+            .field("slots", &self.frame.slots)
+            .field("words", &self.frame.words)
+            .field("flat", &self.flat)
             .finish_non_exhaustive()
     }
 }
 
-/// A rule body lowered to a native closure, optionally with a
-/// flat-store word-path variant (see [`CompiledExpr`]).
+/// A rule body lowered to a native closure for one store kind (see
+/// [`CompiledExpr`]).
 pub struct CompiledAction {
     thunk: ActThunk,
-    /// Local-slot footprint.
-    pub slots: usize,
-    flat: Option<FlatAction>,
+    frame: Footprint,
+    flat: bool,
+}
+
+impl CompiledAction {
+    /// Whether this lowering runs on `store` (see [`CompiledExpr::fits`]).
+    pub fn fits(&self, store: &Store) -> bool {
+        self.flat == store.is_flat()
+    }
 }
 
 impl fmt::Debug for CompiledAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledAction")
-            .field("slots", &self.slots)
+            .field("slots", &self.frame.slots)
+            .field("words", &self.frame.words)
+            .field("flat", &self.flat)
             .finish_non_exhaustive()
     }
 }
 
-/// A [`RulePlan`] lowered to native closures. `None` components fall back
-/// to the AST interpreter, mirroring the stack-machine fallback exactly.
+/// A [`RulePlan`] lowered to native closures for one store kind. `None`
+/// components fall back to the AST interpreter, mirroring the
+/// stack-machine fallback exactly; so does a lowering that meets a store
+/// of the other kind at run time (the interpreter charges identical
+/// costs, so only wall-clock time differs).
 #[derive(Debug, Default)]
 pub struct NativeRule {
     /// The lifted guard, when present and compilable.
@@ -561,21 +594,638 @@ pub struct NativeRule {
     pub body: Option<CompiledAction>,
 }
 
+impl NativeRule {
+    /// Evaluates the rule's lifted guard `g` against the committed store
+    /// (guard failures fold to `Ok(false)`): natively when the lowering
+    /// fits the store, through [`eval_guard_ro`] otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dynamic errors (type errors, bounds).
+    pub fn eval_guard(
+        &self,
+        frame: &mut NativeFrame,
+        store: &mut Store,
+        g: &Expr,
+        cost: &mut Cost,
+    ) -> ExecResult<bool> {
+        match self.guard.as_ref().filter(|cg| cg.fits(store)) {
+            Some(cg) => eval_guard_native(frame, store, cg, cost),
+            None => eval_guard_ro(store, g, cost),
+        }
+    }
+
+    /// Executes the rule body `body` as a transaction: natively when the
+    /// lowering fits the store, through [`run_rule`] otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dynamic errors (double writes, type errors).
+    pub fn run(
+        &self,
+        frame: &mut NativeFrame,
+        store: &mut Store,
+        body: &Action,
+        policy: ShadowPolicy,
+    ) -> ExecResult<(RuleOutcome, Cost)> {
+        match self.body.as_ref().filter(|cb| cb.fits(store)) {
+            Some(cb) => run_rule_native(frame, store, cb, policy),
+            None => run_rule(store, body, policy),
+        }
+    }
+
+    /// Executes a fully guard-lifted body in place: natively when the
+    /// lowering fits the store, through [`run_rule_inplace`] otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dynamic errors; a guard failure is an unsound-lifting
+    /// error.
+    pub fn run_inplace(
+        &self,
+        frame: &mut NativeFrame,
+        store: &mut Store,
+        body: &Action,
+    ) -> ExecResult<Cost> {
+        match self.body.as_ref().filter(|cb| cb.fits(store)) {
+            Some(cb) => run_rule_inplace_native(frame, store, cb),
+            None => run_rule_inplace(store, body),
+        }
+    }
+}
+
+/// One expression node after the single lowering pass. `Word` and
+/// `Boxed` are final. `Place` is an aggregate-access chain whose form —
+/// a packed [`Place`] or a boxed value — is picked by its consumer, so
+/// no subtree is ever lowered twice.
+enum Low {
+    Word(WordThunk, WordTy),
+    Boxed(ExprThunk),
+    Place(Chain),
+}
+
+/// An aggregate-access chain (`r.read()`, `f.first()`, `rf.sub(i)`,
+/// a packed let-bound name, then `.field`/`[index]` steps) resolved at
+/// lower time: field offsets folded, index subexpressions already
+/// word-lowered. `layout` is the chain's result layout.
+struct Chain {
+    node: Node,
+    layout: Layout,
+}
+
+enum Node {
+    /// A let-bound name held as a packed frame region.
+    Frame { base: usize },
+    /// `r.read()` on a register.
+    Reg(PrimId),
+    /// `f.first()` on a FIFO.
+    First(PrimId),
+    /// `rf.sub(i)` on a regfile.
+    Sub {
+        id: PrimId,
+        size: usize,
+        idx: WordThunk,
+        ity: WordTy,
+    },
+    Field {
+        inner: Box<Chain>,
+        off: u32,
+        name: String,
+    },
+    Index {
+        inner: Box<Chain>,
+        len: usize,
+        stride: u32,
+        idx: WordThunk,
+        ity: WordTy,
+    },
+}
+
+/// A chain as a word leaf when its layout is a scalar word (the place
+/// chain carries all charges, the final bit extraction is free), as a
+/// deferred [`Low::Place`] otherwise.
+fn leaf(node: Node, layout: Layout) -> Low {
+    match WordTy::of_layout(&layout) {
+        Some(ty) => {
+            let width = ty.width();
+            let pt = place_thunk(node);
+            Low::Word(
+                Box::new(move |p, f| {
+                    let pl = pt(p, f)?;
+                    read_place_word(p, f, pl, width)
+                }),
+                ty,
+            )
+        }
+        None => Low::Place(Chain { node, layout }),
+    }
+}
+
+/// The packed-place form of a chain. Charges exactly what the boxed
+/// chain charges, in the same order: the port read first (including the
+/// FIFO-empty guard failure, so later field/index ops are not charged
+/// on the failing path), then one op per field/index step.
+fn place_thunk(node: Node) -> PlaceThunk {
+    match node {
+        Node::Frame { base } => Box::new(move |_, _| {
+            Ok(Place {
+                kind: PlaceKind::Frame { bit: base },
+                off: 0,
+            })
+        }),
+        Node::Reg(id) => Box::new(move |p, _| {
+            p.charge_read();
+            Ok(Place {
+                kind: PlaceKind::Prim {
+                    id,
+                    m: PrimMethod::RegRead,
+                    cell: 0,
+                },
+                off: 0,
+            })
+        }),
+        Node::First(id) => Box::new(move |p, _| {
+            p.charge_read();
+            if p.peek_word(id, PrimMethod::NotEmpty, 0, 0, 1)? == 0 {
+                return Err(ExecError::GuardFail);
+            }
+            Ok(Place {
+                kind: PlaceKind::Prim {
+                    id,
+                    m: PrimMethod::First,
+                    cell: 0,
+                },
+                off: 0,
+            })
+        }),
+        Node::Sub { id, size, idx, ity } => Box::new(move |p, f| {
+            let iv = ity.view_int(idx(p, f)?);
+            p.charge_read();
+            let cell = usize::try_from(iv)
+                .map_err(|_| ExecError::Bounds(format!("negative index {iv}")))?;
+            if cell >= size {
+                return Err(ExecError::Bounds(format!("sub {cell} out of {size}")));
+            }
+            Ok(Place {
+                kind: PlaceKind::Prim {
+                    id,
+                    m: PrimMethod::Sub,
+                    cell,
+                },
+                off: 0,
+            })
+        }),
+        Node::Field { inner, off, .. } => {
+            let inner = place_thunk(inner.node);
+            Box::new(move |p, f| {
+                let mut pl = inner(p, f)?;
+                p.cost().ops += 1;
+                pl.off += off;
+                Ok(pl)
+            })
+        }
+        Node::Index {
+            inner,
+            len,
+            stride,
+            idx,
+            ity,
+        } => {
+            let inner = place_thunk(inner.node);
+            Box::new(move |p, f| {
+                let mut pl = inner(p, f)?;
+                let iv = ity.view_int(idx(p, f)?);
+                let idx = usize::try_from(iv)
+                    .map_err(|_| ExecError::Bounds(format!("negative index {iv}")))?;
+                p.cost().ops += 1;
+                if idx >= len {
+                    return Err(ExecError::Bounds(format!("index {idx} out of {len}")));
+                }
+                pl.off += idx as u32 * stride;
+                Ok(pl)
+            })
+        }
+    }
+}
+
+/// The boxed-value form of a chain: exactly the boxed lowering of the
+/// same AST — a port `call_value` at the root, `field`/`index` on the
+/// materialized value per step, and the fused slot accesses for steps
+/// directly on a let-bound packed name.
+fn boxed_chain(c: Chain) -> ExprThunk {
+    let Chain { node, layout } = c;
+    match node {
+        Node::Frame { base } => Box::new(move |_, f| Ok(Value::read_flat(&layout, &f.words, base))),
+        Node::Reg(id) => Box::new(move |p, _| p.call_value(id, PrimMethod::RegRead, &[])),
+        Node::First(id) => Box::new(move |p, _| p.call_value(id, PrimMethod::First, &[])),
+        Node::Sub { id, idx, ity, .. } => {
+            let a0 = boxed(Low::Word(idx, ity));
+            Box::new(move |p, f| {
+                let v0 = a0(p, f)?;
+                p.call_value(id, PrimMethod::Sub, std::slice::from_ref(&v0))
+            })
+        }
+        Node::Field { inner, off, name } => {
+            if let Node::Frame { base } = inner.node {
+                // Field of a let-bound struct: fused like the Vm's
+                // `LoadField`, the offset resolved at lower time.
+                let foff = off as usize;
+                return Box::new(move |p, f| {
+                    p.cost().ops += 1;
+                    Ok(Value::read_flat(&layout, &f.words, base + foff))
+                });
+            }
+            field_of(boxed_chain(*inner), name)
+        }
+        Node::Index {
+            inner,
+            len,
+            stride,
+            idx,
+            ity,
+        } => {
+            let i = boxed(Low::Word(idx, ity));
+            if let Node::Frame { base } = inner.node {
+                return frame_index(base, len, stride, layout, i);
+            }
+            index_of(boxed_chain(*inner), i)
+        }
+    }
+}
+
+/// Indexing a let-bound packed vector, fused like the Vm's `LoadIndex`:
+/// the element is read straight out of the frame region without
+/// building the vector.
+fn frame_index(base: usize, len: usize, stride: u32, elem: Layout, i: ExprThunk) -> ExprThunk {
+    Box::new(move |p, f| {
+        let iv = i(p, f)?.as_index()?;
+        p.cost().ops += 1;
+        if iv >= len {
+            return Err(ExecError::Bounds(format!("index {iv} out of {len}")));
+        }
+        Ok(Value::read_flat(
+            &elem,
+            &f.words,
+            base + iv * stride as usize,
+        ))
+    })
+}
+
+/// The boxed form of any lowered node: word results are rematerialized
+/// at the boxed boundary (charge-free — scalar `Value`s are inline enum
+/// variants, no heap).
+fn boxed(l: Low) -> ExprThunk {
+    match l {
+        Low::Word(wt, ty) => Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?))),
+        Low::Boxed(t) => t,
+        Low::Place(c) => boxed_chain(c),
+    }
+}
+
+fn field_of(v: ExprThunk, name: String) -> ExprThunk {
+    Box::new(move |p, f| {
+        let vv = v(p, f)?;
+        p.cost().ops += 1;
+        vv.field(&name).cloned()
+    })
+}
+
+fn index_of(v: ExprThunk, i: ExprThunk) -> ExprThunk {
+    Box::new(move |p, f| {
+        let vv = v(p, f)?;
+        let iv = i(p, f)?.as_index()?;
+        p.cost().ops += 1;
+        vv.index(iv).cloned()
+    })
+}
+
+fn mk_vec(ts: Vec<ExprThunk>) -> ExprThunk {
+    let n = ts.len() as u64;
+    Box::new(move |p, f| {
+        let mut out = Vec::with_capacity(ts.len());
+        for t in &ts {
+            out.push(t(p, f)?);
+        }
+        p.cost().ops += n;
+        Ok(Value::Vec(out))
+    })
+}
+
+fn mk_struct(names: Vec<String>, ts: Vec<ExprThunk>) -> ExprThunk {
+    let n = ts.len() as u64;
+    Box::new(move |p, f| {
+        let mut out = Vec::with_capacity(ts.len());
+        for (name, t) in names.iter().zip(&ts) {
+            out.push((name.clone(), t(p, f)?));
+        }
+        p.cost().ops += n;
+        Ok(Value::Struct(out))
+    })
+}
+
+/// The word-domain form of a unary op, when the operand type admits it.
+fn word_un(op: UnOp, ty: WordTy) -> Option<fn(u64, u64) -> u64> {
+    Some(match (op, ty) {
+        (UnOp::Not, WordTy::Bool) => |w, _| w ^ 1,
+        (UnOp::Neg, WordTy::Int(_) | WordTy::Bits(_)) => |w, m| w.wrapping_neg() & m,
+        (UnOp::Inv, WordTy::Int(_) | WordTy::Bits(_)) => |w, m| !w & m,
+        _ => return None,
+    })
+}
+
+/// Whether a binary op over two word operands has a word form: every
+/// one but the Bool×Bool ops `Value::bin_op` has no 1-bit form of.
+fn word_bin_ok(op: BinOp, aty: WordTy, bty: WordTy) -> bool {
+    (aty, bty) != (WordTy::Bool, WordTy::Bool)
+        || matches!(
+            op,
+            BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Ne | BinOp::Eq
+        )
+}
+
+/// The word-domain form of a binary op (see [`word_bin_ok`]). Every
+/// arm's packed result equals the `write_flat` bits of the boxed value
+/// the interpreter would produce, and every charge lands at the same
+/// point ([`Value::bin_op`]'s division errors included).
+fn word_bin(op: BinOp, at: WordThunk, aty: WordTy, bt: WordThunk, bty: WordTy) -> Low {
+    let charge = op.cpu_cost();
+    // Boolean logic stays in the 1-bit domain (mirrors the
+    // `(Bool, Bool)` branch of `Value::bin_op`).
+    if (aty, bty) == (WordTy::Bool, WordTy::Bool) {
+        let apply: fn(u64, u64) -> u64 = match op {
+            BinOp::And => |x, y| x & y,
+            BinOp::Or => |x, y| x | y,
+            BinOp::Xor | BinOp::Ne => |x, y| x ^ y,
+            BinOp::Eq => |x, y| (x == y) as u64,
+            _ => unreachable!("checked by word_bin_ok"),
+        };
+        return Low::Word(
+            Box::new(move |p, f| {
+                let x = at(p, f)?;
+                let y = bt(p, f)?;
+                p.cost().ops += charge;
+                Ok(apply(x, y))
+            }),
+            WordTy::Bool,
+        );
+    }
+    if op.is_comparison() {
+        return Low::Word(
+            Box::new(move |p, f| {
+                let x = aty.view_int(at(p, f)?);
+                let y = bty.view_int(bt(p, f)?);
+                p.cost().ops += charge;
+                let r = match op {
+                    BinOp::Eq => x == y,
+                    BinOp::Ne => x != y,
+                    BinOp::Lt => x < y,
+                    BinOp::Le => x <= y,
+                    BinOp::Gt => x > y,
+                    BinOp::Ge => x >= y,
+                    _ => unreachable!(),
+                };
+                Ok(r as u64)
+            }),
+            WordTy::Bool,
+        );
+    }
+    // Arithmetic wraps at the left operand's width; a Bool left operand
+    // promotes to Int(64), like `as_int`.
+    let (width, rty) = match aty {
+        WordTy::Bool => (64, WordTy::Int(64)),
+        WordTy::Bits(w) => (w, WordTy::Bits(w)),
+        WordTy::Int(w) => (w, WordTy::Int(w)),
+    };
+    let m = mask(width);
+    Low::Word(
+        Box::new(move |p, f| {
+            let x = aty.view_int(at(p, f)?);
+            let y = bty.view_int(bt(p, f)?);
+            p.cost().ops += charge;
+            let r: i64 = match op {
+                BinOp::Add => x.wrapping_add(y),
+                BinOp::Sub => x.wrapping_sub(y),
+                BinOp::Mul => x.wrapping_mul(y),
+                BinOp::FixMul(fx) => (((x as i128) * (y as i128)) >> fx) as i64,
+                BinOp::FixDiv(fx) => {
+                    if y == 0 {
+                        return Err(ExecError::Malformed("fixed-point division by zero".into()));
+                    }
+                    (((x as i128) << fx) / (y as i128)) as i64
+                }
+                BinOp::Div => {
+                    if y == 0 {
+                        return Err(ExecError::Malformed("division by zero".into()));
+                    }
+                    x.wrapping_div(y)
+                }
+                BinOp::Rem => {
+                    if y == 0 {
+                        return Err(ExecError::Malformed("remainder by zero".into()));
+                    }
+                    x.wrapping_rem(y)
+                }
+                BinOp::And => x & y,
+                BinOp::Or => x | y,
+                BinOp::Xor => x ^ y,
+                BinOp::Shl => x.wrapping_shl(y as u32 & 63),
+                BinOp::Shr => x.wrapping_shr(y as u32 & 63),
+                BinOp::Min => x.min(y),
+                BinOp::Max => x.max(y),
+                _ => unreachable!(),
+            };
+            Ok((r as u64) & m)
+        }),
+        rty,
+    )
+}
+
+/// A method call's lowered argument list; arity ≤ 2 stays on the stack
+/// at run time (the Vm allocates a `Vec` per call via `split_off`).
+enum Args {
+    A0,
+    A1(ExprThunk),
+    A2(ExprThunk, ExprThunk),
+    N(Vec<ExprThunk>),
+}
+
+fn value_call(id: PrimId, m: PrimMethod, args: Args) -> ExprThunk {
+    match args {
+        Args::A0 => Box::new(move |p, _| p.call_value(id, m, &[])),
+        Args::A1(a0) => Box::new(move |p, f| {
+            let v0 = a0(p, f)?;
+            p.call_value(id, m, std::slice::from_ref(&v0))
+        }),
+        Args::A2(a0, a1) => Box::new(move |p, f| {
+            let v0 = a0(p, f)?;
+            let v1 = a1(p, f)?;
+            p.call_value(id, m, &[v0, v1])
+        }),
+        Args::N(ts) => Box::new(move |p, f| {
+            let mut vals = Vec::with_capacity(ts.len());
+            for t in &ts {
+                vals.push(t(p, f)?);
+            }
+            p.call_value(id, m, &vals)
+        }),
+    }
+}
+
+fn action_call(id: PrimId, m: PrimMethod, args: Args) -> ActThunk {
+    match args {
+        Args::A0 => Box::new(move |p, _| p.call_action(id, m, &[])),
+        Args::A1(a0) => Box::new(move |p, f| {
+            let v0 = a0(p, f)?;
+            p.call_action(id, m, std::slice::from_ref(&v0))
+        }),
+        Args::A2(a0, a1) => Box::new(move |p, f| {
+            let v0 = a0(p, f)?;
+            let v1 = a1(p, f)?;
+            p.call_action(id, m, &[v0, v1])
+        }),
+        Args::N(ts) => Box::new(move |p, f| {
+            let mut vals = Vec::with_capacity(ts.len());
+            for t in &ts {
+                vals.push(t(p, f)?);
+            }
+            p.call_action(id, m, &vals)
+        }),
+    }
+}
+
+/// An action-method argument on the flat pass, before the call decides
+/// whether it travels as a word, as packed scratch bits, or boxed.
+enum Payload<'a> {
+    Low(Low),
+    /// A constant that is not a scalar word.
+    Const(&'a Value),
+    /// `MkVec` elements (`fields: None`) or `MkStruct` fields.
+    Make(Vec<Payload<'a>>, Option<&'a [(String, Expr)]>),
+}
+
+impl Payload<'_> {
+    /// The packed width, or `None` when some part has no packed form.
+    fn packed_width(&self) -> Option<u32> {
+        match self {
+            Payload::Low(Low::Word(_, ty)) => Some(ty.width()),
+            Payload::Low(Low::Place(c)) => Some(c.layout.width),
+            Payload::Low(Low::Boxed(_)) => None,
+            Payload::Const(v) => Some(Layout::of(&v.type_of()).width),
+            Payload::Make(es, _) => es.iter().map(Payload::packed_width).sum(),
+        }
+    }
+
+    /// A closure writing the payload's packed bits into frame scratch at
+    /// `dst` — the zero-`Value` path for aggregate method arguments.
+    /// `MkVec`/`MkStruct` pack elements at their running offsets and
+    /// charge one op per element after evaluation, like the boxed
+    /// constructors; constants pre-pack at lower time. Only called once
+    /// [`Self::packed_width`] has answered `Some`.
+    fn pack(self, dst: usize) -> (ActThunk, u32) {
+        match self {
+            Payload::Low(Low::Word(wt, ty)) => {
+                let width = ty.width();
+                (
+                    Box::new(move |p, f| {
+                        let w = wt(p, f)?;
+                        put_bits(&mut f.words, dst, width, w);
+                        Ok(())
+                    }),
+                    width,
+                )
+            }
+            Payload::Low(Low::Place(c)) => {
+                let width = c.layout.width;
+                let pt = place_thunk(c.node);
+                (
+                    Box::new(move |p, f| {
+                        let pl = pt(p, f)?;
+                        copy_place_packed(p, f, pl, width, dst)
+                    }),
+                    width,
+                )
+            }
+            Payload::Low(Low::Boxed(_)) => unreachable!("boxed payloads have no packed width"),
+            Payload::Const(v) => {
+                let lay = Layout::of(&v.type_of());
+                let mut ws = vec![0u64; lay.words64().max(1)];
+                v.write_flat(&mut ws, 0);
+                let width = lay.width;
+                (
+                    Box::new(move |_, f| {
+                        copy_bits(&ws, 0, &mut f.words, dst, width);
+                        Ok(())
+                    }),
+                    width,
+                )
+            }
+            Payload::Make(es, _) => {
+                let n = es.len() as u64;
+                let mut at = dst;
+                let parts: Vec<ActThunk> = es
+                    .into_iter()
+                    .map(|e| {
+                        let (t, w) = e.pack(at);
+                        at += w as usize;
+                        t
+                    })
+                    .collect();
+                (
+                    Box::new(move |p, f| {
+                        for t in &parts {
+                            t(p, f)?;
+                        }
+                        p.cost().ops += n;
+                        Ok(())
+                    }),
+                    (at - dst) as u32,
+                )
+            }
+        }
+    }
+
+    /// The boxed form: exactly the boxed lowering of the same AST.
+    fn boxed(self) -> ExprThunk {
+        match self {
+            Payload::Low(l) => boxed(l),
+            Payload::Const(v) => {
+                let v = v.clone();
+                Box::new(move |_, _| Ok(v.clone()))
+            }
+            Payload::Make(es, fields) => {
+                let ts = es.into_iter().map(Payload::boxed).collect();
+                match fields {
+                    None => mk_vec(ts),
+                    Some(fs) => mk_struct(fs.iter().map(|(n, _)| n.clone()).collect(), ts),
+                }
+            }
+        }
+    }
+}
+
+/// How an action-method payload reaches a primitive lane.
+enum Lane {
+    Word(WordThunk),
+    /// Packed into frame scratch at the given bit offset.
+    Packed(ActThunk, usize),
+    Boxed(ExprThunk),
+}
+
 /// Compile-time lexical scope: let-bound names resolved to bindings.
 /// `prims` is `Some` for the flat (word-lowering) pass and `None` for
 /// the boxed pass, which then behaves exactly like the pre-word
 /// backend: every binding is boxed and every port call carries a
 /// [`Value`].
-struct Lowerer<'d> {
-    scope: Vec<(String, Binding)>,
+struct Lowerer<'a> {
+    scope: Vec<(&'a str, Binding)>,
     slots: usize,
     /// Word-scratch footprint (in 64-bit words) for the flat pass.
     words: usize,
-    prims: Option<&'d [PrimInfo]>,
+    prims: Option<&'a [PrimInfo]>,
 }
 
-impl<'d> Lowerer<'d> {
-    fn new(prims: Option<&'d [PrimInfo]>) -> Lowerer<'d> {
+impl<'a> Lowerer<'a> {
+    fn new(prims: Option<&'a [PrimInfo]>) -> Lowerer<'a> {
         Lowerer {
             scope: Vec::new(),
             slots: 0,
@@ -584,15 +1234,22 @@ impl<'d> Lowerer<'d> {
         }
     }
 
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            slots: self.slots,
+            words: self.words,
+        }
+    }
+
     fn lookup(&self, n: &str) -> Option<Binding> {
         self.scope
             .iter()
             .rev()
-            .find(|(name, _)| name == n)
+            .find(|(name, _)| *name == n)
             .map(|(_, b)| b.clone())
     }
 
-    fn info(&self, id: PrimId) -> Option<&'d PrimInfo> {
+    fn info(&self, id: PrimId) -> Option<&'a PrimInfo> {
         self.prims.and_then(|ps| ps.get(id.0))
     }
 
@@ -604,477 +1261,125 @@ impl<'d> Lowerer<'d> {
         at * 64
     }
 
-    /// Lowers an expression. In the flat pass, scalar expressions take
-    /// the word path and are rematerialized only at the boxed boundary;
-    /// evaluation order and cost-charge points are identical either way.
-    fn expr(&mut self, e: &Expr) -> Option<ExprThunk> {
-        if self.prims.is_some() {
-            if let Some((wt, ty)) = self.word_expr(e) {
-                return Some(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?))));
-            }
-        }
-        self.expr_boxed(e)
+    /// The boxed lowering of an expression (word results rematerialized).
+    fn expr(&mut self, e: &'a Expr) -> Option<ExprThunk> {
+        self.lower(e).map(boxed)
     }
 
-    /// The boxed lowering (the only one on tree stores). Evaluation
-    /// order and cost-charge points mirror the AST interpreter
-    /// instruction for instruction.
-    fn expr_boxed(&mut self, e: &Expr) -> Option<ExprThunk> {
-        Some(match e {
-            Expr::Const(v) => {
-                let v = v.clone();
-                Box::new(move |_, _| Ok(v.clone()))
-            }
-            Expr::Var(n) => match self.lookup(n)? {
-                Binding::Boxed(s) => Box::new(move |_, f| Ok(f.slots[s].clone())),
-                Binding::Word { slot, ty } => {
-                    Box::new(move |_, f| Ok(ty.materialize(f.words[slot])))
-                }
-                Binding::Packed { base, layout } => {
-                    Box::new(move |_, f| Ok(Value::read_flat(&layout, &f.words, base)))
-                }
-            },
-            Expr::Un(op, a) => {
-                let a = self.expr(a)?;
-                let op = *op;
-                Box::new(move |p, f| {
-                    let va = a(p, f)?;
-                    p.cost().ops += 1;
-                    Value::un_op(op, &va)
-                })
-            }
-            Expr::Bin(op, a, b) => {
-                let a = self.expr(a)?;
-                let b = self.expr(b)?;
-                let op = *op;
-                let charge = op.cpu_cost();
-                Box::new(move |p, f| {
-                    let va = a(p, f)?;
-                    let vb = b(p, f)?;
-                    p.cost().ops += charge;
-                    Value::bin_op(op, &va, &vb)
-                })
-            }
-            Expr::Cond(c, t, fl) => {
-                let c = self.expr(c)?;
-                let t = self.expr(t)?;
-                let fl = self.expr(fl)?;
-                Box::new(move |p, f| {
-                    let vc = c(p, f)?.as_bool()?;
-                    p.cost().ops += 1;
-                    if vc {
-                        t(p, f)
-                    } else {
-                        fl(p, f)
-                    }
-                })
-            }
-            Expr::When(v, g) => {
-                // The guard is evaluated first, like the interpreter.
-                let v = self.expr(v)?;
-                let g = self.expr(g)?;
-                Box::new(move |p, f| {
-                    let gv = g(p, f)?.as_bool()?;
-                    p.cost().ops += 1;
-                    if gv {
-                        v(p, f)
-                    } else {
-                        Err(ExecError::GuardFail)
-                    }
-                })
-            }
-            Expr::Let(n, v, b) => {
-                let (vt, binding) = self.bind_value(v)?;
-                self.scope.push((n.clone(), binding));
-                let b = self.expr(b);
-                self.scope.pop();
-                let b = b?;
-                Box::new(move |p, f| {
-                    vt(p, f)?;
-                    b(p, f)
-                })
-            }
-            Expr::Call(t, args) => {
-                let (id, m) = prim_target(t)?;
-                return self.call_value(id, m, args);
-            }
-            Expr::Index(v, i) => {
-                // Indexing a let-bound vector is fused into a direct slot
-                // access, like the Vm's `LoadIndex`: the element is copied
-                // straight out of the slot without cloning the vector.
-                // `Var` evaluation is infallible, so hoisting it past the
-                // index expression cannot reorder failures; charged cost
-                // is identical.
-                if let Expr::Var(n) = v.as_ref() {
-                    let i = self.expr(i)?;
-                    match self.lookup(n)? {
-                        Binding::Boxed(s) => Box::new(move |p, f| {
-                            let iv = i(p, f)?.as_index()?;
-                            p.cost().ops += 1;
-                            f.slots[s].index(iv).cloned()
-                        }),
-                        // A word binding is a scalar: indexing it is a
-                        // type error. Materialize for the identical
-                        // error message.
-                        Binding::Word { slot, ty } => Box::new(move |p, f| {
-                            let iv = i(p, f)?.as_index()?;
-                            p.cost().ops += 1;
-                            ty.materialize(f.words[slot]).index(iv).cloned()
-                        }),
-                        Binding::Packed { base, layout } => match layout.kind.clone() {
-                            LayoutKind::Vector { len, stride, elem } => Box::new(move |p, f| {
-                                let iv = i(p, f)?.as_index()?;
-                                p.cost().ops += 1;
-                                if iv >= len {
-                                    return Err(ExecError::Bounds(format!(
-                                        "index {iv} out of {len}"
-                                    )));
-                                }
-                                Ok(Value::read_flat(
-                                    &elem,
-                                    &f.words,
-                                    base + iv * stride as usize,
-                                ))
-                            }),
-                            _ => Box::new(move |p, f| {
-                                let iv = i(p, f)?.as_index()?;
-                                p.cost().ops += 1;
-                                Value::read_flat(&layout, &f.words, base).index(iv).cloned()
-                            }),
-                        },
-                    }
-                } else {
-                    let v = self.expr(v)?;
-                    let i = self.expr(i)?;
-                    Box::new(move |p, f| {
-                        let vv = v(p, f)?;
-                        let iv = i(p, f)?.as_index()?;
-                        p.cost().ops += 1;
-                        vv.index(iv).cloned()
-                    })
-                }
-            }
-            Expr::Field(v, name) => {
-                // Field of a let-bound struct: fused like the Vm's
-                // `LoadField`.
-                if let Expr::Var(n) = v.as_ref() {
-                    let name = name.clone();
-                    match self.lookup(n)? {
-                        Binding::Boxed(s) => Box::new(move |p, f| {
-                            p.cost().ops += 1;
-                            f.slots[s].field(&name).cloned()
-                        }),
-                        Binding::Word { slot, ty } => Box::new(move |p, f| {
-                            p.cost().ops += 1;
-                            ty.materialize(f.words[slot]).field(&name).cloned()
-                        }),
-                        Binding::Packed { base, layout } => {
-                            // Field offsets resolve at lower time; a
-                            // missing field materializes for the boxed
-                            // error message.
-                            let found = match &layout.kind {
-                                LayoutKind::Struct { fields } => fields
-                                    .iter()
-                                    .find(|fl| fl.name == name)
-                                    .map(|fl| (fl.offset as usize, fl.layout.clone())),
-                                _ => None,
-                            };
-                            match found {
-                                Some((foff, flay)) => Box::new(move |p, f| {
-                                    p.cost().ops += 1;
-                                    Ok(Value::read_flat(&flay, &f.words, base + foff))
-                                }),
-                                None => Box::new(move |p, f| {
-                                    p.cost().ops += 1;
-                                    Value::read_flat(&layout, &f.words, base)
-                                        .field(&name)
-                                        .cloned()
-                                }),
-                            }
-                        }
-                    }
-                } else {
-                    let v = self.expr(v)?;
-                    let name = name.clone();
-                    Box::new(move |p, f| {
-                        let vv = v(p, f)?;
-                        p.cost().ops += 1;
-                        vv.field(&name).cloned()
-                    })
-                }
-            }
-            Expr::MkVec(es) => {
-                let ts = self.exprs(es)?;
-                let n = ts.len() as u64;
-                Box::new(move |p, f| {
-                    let mut out = Vec::with_capacity(ts.len());
-                    for t in &ts {
-                        out.push(t(p, f)?);
-                    }
-                    p.cost().ops += n;
-                    Ok(Value::Vec(out))
-                })
-            }
-            Expr::MkStruct(fs) => {
-                let names: Vec<String> = fs.iter().map(|(n, _)| n.clone()).collect();
-                let ts = self.exprs(&fs.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>())?;
-                let n = ts.len() as u64;
-                Box::new(move |p, f| {
-                    let mut out = Vec::with_capacity(ts.len());
-                    for (name, t) in names.iter().zip(&ts) {
-                        out.push((name.clone(), t(p, f)?));
-                    }
-                    p.cost().ops += n;
-                    Ok(Value::Struct(out))
-                })
-            }
-            Expr::UpdateIndex(v, i, x) => {
-                let v = self.expr(v)?;
-                let i = self.expr(i)?;
-                let x = self.expr(x)?;
-                Box::new(move |p, f| {
-                    let vv = v(p, f)?;
-                    let iv = i(p, f)?.as_index()?;
-                    let xv = x(p, f)?;
-                    // Functional update costs a copy of the vector.
-                    p.cost().ops += vv.as_vec().map(|s| s.len() as u64).unwrap_or(1);
-                    vv.update_index(iv, xv)
-                })
-            }
-            Expr::UpdateField(v, name, x) => {
-                let v = self.expr(v)?;
-                let x = self.expr(x)?;
-                let name = name.clone();
-                Box::new(move |p, f| {
-                    let vv = v(p, f)?;
-                    let xv = x(p, f)?;
-                    p.cost().ops += 1;
-                    vv.update_field(&name, xv)
-                })
-            }
+    fn exprs(&mut self, es: impl IntoIterator<Item = &'a Expr>) -> Option<Vec<ExprThunk>> {
+        es.into_iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn args(&mut self, es: &'a [Expr]) -> Option<Args> {
+        Some(match es {
+            [] => Args::A0,
+            [a0] => Args::A1(self.expr(a0)?),
+            [a0, a1] => Args::A2(self.expr(a0)?, self.expr(a1)?),
+            _ => Args::N(self.exprs(es)?),
         })
     }
 
-    fn exprs(&mut self, es: &[Expr]) -> Option<Vec<ExprThunk>> {
-        es.iter().map(|e| self.expr(e)).collect()
-    }
-
-    /// Lowers a let-bound value to the cheapest binding it supports:
-    /// an unboxed word, a packed aggregate region (copied bitwise from
-    /// its place, no `Value` built), or a boxed slot. The returned
-    /// thunk performs the store; charges are exactly the value
-    /// expression's own (the slot store itself is free, as in the
-    /// interpreter).
-    fn bind_value(&mut self, v: &Expr) -> Option<(ActThunk, Binding)> {
-        if self.prims.is_some() {
-            if let Some((wt, ty)) = self.word_expr(v) {
-                let slot = self.words;
-                self.words += 1;
-                let t: ActThunk = Box::new(move |p, f| {
-                    f.words[slot] = wt(p, f)?;
-                    Ok(())
-                });
-                return Some((t, Binding::Word { slot, ty }));
-            }
-            if let Some((pt, lay)) = self.agg_place(v) {
-                if matches!(
-                    lay.kind,
-                    LayoutKind::Vector { .. } | LayoutKind::Struct { .. }
-                ) {
-                    let base = self.alloc_region(lay.width);
-                    let width = lay.width;
-                    let t: ActThunk = Box::new(move |p, f| {
-                        let pl = pt(p, f)?;
-                        copy_place_packed(p, f, pl, width, base)
-                    });
-                    return Some((
-                        t,
-                        Binding::Packed {
-                            base,
-                            layout: Arc::new(lay),
-                        },
-                    ));
-                }
-            }
-        }
-        let v = self.expr(v)?;
-        let slot = self.slots;
-        self.slots += 1;
-        let t: ActThunk = Box::new(move |p, f| {
-            f.slots[slot] = v(p, f)?;
-            Ok(())
-        });
-        Some((t, Binding::Boxed(slot)))
-    }
-
-    /// Lowers a scalar expression to an unboxed-word closure, or `None`
-    /// when the expression (or its type) is not provably word-safe —
-    /// the caller then uses the boxed lowering, which charges
-    /// identically. Only called in the flat pass.
-    ///
-    /// Every arm's packed result equals the `write_flat` bits of the
-    /// boxed value the interpreter would produce, and every charge
-    /// lands at the same point ([`Value::bin_op`]'s division errors
-    /// included).
-    fn word_expr(&mut self, e: &Expr) -> Option<(WordThunk, WordTy)> {
-        self.prims?;
+    /// Lowers an expression bottom-up in one pass; `None` when it is not
+    /// compilable at all (unelaborated names, unbound variables). On the
+    /// flat pass a node takes the word path iff all its operands did and
+    /// their types admit it; otherwise it is boxed, wrapping word
+    /// operands in a rematerialization. Evaluation order and
+    /// cost-charge points mirror the AST interpreter either way.
+    fn lower(&mut self, e: &'a Expr) -> Option<Low> {
         Some(match e {
-            Expr::Const(v) => {
-                let (ty, w) = WordTy::of_value(v)?;
-                (Box::new(move |_, _| Ok(w)), ty)
-            }
+            Expr::Const(v) => match WordTy::of_value(v).filter(|_| self.prims.is_some()) {
+                Some((ty, w)) => Low::Word(Box::new(move |_, _| Ok(w)), ty),
+                None => {
+                    let v = v.clone();
+                    Low::Boxed(Box::new(move |_, _| Ok(v.clone())))
+                }
+            },
             Expr::Var(n) => match self.lookup(n)? {
-                Binding::Word { slot, ty } => (Box::new(move |_, f| Ok(f.words[slot])), ty),
-                _ => return None,
+                Binding::Boxed(s) => Low::Boxed(Box::new(move |_, f| Ok(f.slots[s].clone()))),
+                Binding::Word { slot, ty } => {
+                    Low::Word(Box::new(move |_, f| Ok(f.words[slot])), ty)
+                }
+                Binding::Packed { base, layout } => Low::Place(Chain {
+                    node: Node::Frame { base },
+                    layout: (*layout).clone(),
+                }),
             },
             Expr::Un(op, a) => {
-                let (at, aty) = self.word_expr(a)?;
-                let wd = aty.width();
-                let m = mask(wd);
-                let apply: fn(u64, u64) -> u64 = match (*op, aty) {
-                    (UnOp::Not, WordTy::Bool) => |w, _| w ^ 1,
-                    (UnOp::Neg, WordTy::Int(_)) | (UnOp::Neg, WordTy::Bits(_)) => {
-                        |w, m| w.wrapping_neg() & m
+                let op = *op;
+                match self.lower(a)? {
+                    Low::Word(at, aty) if word_un(op, aty).is_some() => {
+                        let apply = word_un(op, aty)?;
+                        let m = mask(aty.width());
+                        Low::Word(
+                            Box::new(move |p, f| {
+                                let w = at(p, f)?;
+                                p.cost().ops += 1;
+                                Ok(apply(w, m))
+                            }),
+                            aty,
+                        )
                     }
-                    (UnOp::Inv, WordTy::Int(_)) | (UnOp::Inv, WordTy::Bits(_)) => |w, m| !w & m,
-                    _ => return None,
-                };
-                (
-                    Box::new(move |p, f| {
-                        let w = at(p, f)?;
-                        p.cost().ops += 1;
-                        Ok(apply(w, m))
-                    }),
-                    aty,
-                )
+                    la => {
+                        let a = boxed(la);
+                        Low::Boxed(Box::new(move |p, f| {
+                            let va = a(p, f)?;
+                            p.cost().ops += 1;
+                            Value::un_op(op, &va)
+                        }))
+                    }
+                }
             }
             Expr::Bin(op, a, b) => {
-                let (at, aty) = self.word_expr(a)?;
-                let (bt, bty) = self.word_expr(b)?;
                 let op = *op;
-                let charge = op.cpu_cost();
-                // Boolean logic stays in the 1-bit domain (mirrors the
-                // `(Bool, Bool)` branch of `Value::bin_op`).
-                if (aty, bty) == (WordTy::Bool, WordTy::Bool) {
-                    let apply: fn(u64, u64) -> u64 = match op {
-                        BinOp::And => |x, y| x & y,
-                        BinOp::Or => |x, y| x | y,
-                        BinOp::Xor | BinOp::Ne => |x, y| x ^ y,
-                        BinOp::Eq => |x, y| (x == y) as u64,
-                        _ => return None,
-                    };
-                    return Some((
-                        Box::new(move |p, f| {
-                            let x = at(p, f)?;
-                            let y = bt(p, f)?;
+                match (self.lower(a)?, self.lower(b)?) {
+                    (Low::Word(at, aty), Low::Word(bt, bty)) if word_bin_ok(op, aty, bty) => {
+                        word_bin(op, at, aty, bt, bty)
+                    }
+                    (la, lb) => {
+                        let (a, b) = (boxed(la), boxed(lb));
+                        let charge = op.cpu_cost();
+                        Low::Boxed(Box::new(move |p, f| {
+                            let va = a(p, f)?;
+                            let vb = b(p, f)?;
                             p.cost().ops += charge;
-                            Ok(apply(x, y))
-                        }),
-                        WordTy::Bool,
-                    ));
+                            Value::bin_op(op, &va, &vb)
+                        }))
+                    }
                 }
-                if op.is_comparison() {
-                    return Some((
-                        Box::new(move |p, f| {
-                            let x = aty.view_int(at(p, f)?);
-                            let y = bty.view_int(bt(p, f)?);
-                            p.cost().ops += charge;
-                            let r = match op {
-                                BinOp::Eq => x == y,
-                                BinOp::Ne => x != y,
-                                BinOp::Lt => x < y,
-                                BinOp::Le => x <= y,
-                                BinOp::Gt => x > y,
-                                BinOp::Ge => x >= y,
-                                _ => unreachable!(),
-                            };
-                            Ok(r as u64)
-                        }),
-                        WordTy::Bool,
-                    ));
-                }
-                // Arithmetic wraps at the left operand's width; a Bool
-                // left operand promotes to Int(64), like `as_int`.
-                let (width, rty) = match aty {
-                    WordTy::Bool => (64, WordTy::Int(64)),
-                    WordTy::Bits(w) => (w, WordTy::Bits(w)),
-                    WordTy::Int(w) => (w, WordTy::Int(w)),
-                };
-                let m = mask(width);
-                (
-                    Box::new(move |p, f| {
-                        let x = aty.view_int(at(p, f)?);
-                        let y = bty.view_int(bt(p, f)?);
-                        p.cost().ops += charge;
-                        let r: i64 = match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::FixMul(fx) => (((x as i128) * (y as i128)) >> fx) as i64,
-                            BinOp::FixDiv(fx) => {
-                                if y == 0 {
-                                    return Err(ExecError::Malformed(
-                                        "fixed-point division by zero".into(),
-                                    ));
-                                }
-                                (((x as i128) << fx) / (y as i128)) as i64
-                            }
-                            BinOp::Div => {
-                                if y == 0 {
-                                    return Err(ExecError::Malformed("division by zero".into()));
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinOp::Rem => {
-                                if y == 0 {
-                                    return Err(ExecError::Malformed("remainder by zero".into()));
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            BinOp::And => x & y,
-                            BinOp::Or => x | y,
-                            BinOp::Xor => x ^ y,
-                            BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-                            BinOp::Shr => x.wrapping_shr(y as u32 & 63),
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                            _ => unreachable!(),
-                        };
-                        Ok((r as u64) & m)
-                    }),
-                    rty,
-                )
             }
-            Expr::Cond(c, t, fl) => {
-                let (ct, cty) = self.word_expr(c)?;
-                if cty != WordTy::Bool {
-                    return None;
+            Expr::Cond(c, t, fl) => match (self.lower(c)?, self.lower(t)?, self.lower(fl)?) {
+                (Low::Word(ct, WordTy::Bool), Low::Word(tt, tty), Low::Word(ft, fty))
+                    if tty == fty =>
+                {
+                    Low::Word(
+                        Box::new(move |p, f| {
+                            let vc = ct(p, f)? != 0;
+                            p.cost().ops += 1;
+                            if vc {
+                                tt(p, f)
+                            } else {
+                                ft(p, f)
+                            }
+                        }),
+                        tty,
+                    )
                 }
-                let (tt, tty) = self.word_expr(t)?;
-                let (ft, fty) = self.word_expr(fl)?;
-                if tty != fty {
-                    return None;
-                }
-                (
-                    Box::new(move |p, f| {
-                        let vc = ct(p, f)? != 0;
+                (lc, lt, lf) => {
+                    let (c, t, fl) = (boxed(lc), boxed(lt), boxed(lf));
+                    Low::Boxed(Box::new(move |p, f| {
+                        let vc = c(p, f)?.as_bool()?;
                         p.cost().ops += 1;
                         if vc {
-                            tt(p, f)
+                            t(p, f)
                         } else {
-                            ft(p, f)
+                            fl(p, f)
                         }
-                    }),
-                    tty,
-                )
-            }
-            Expr::When(v, g) => {
-                let (vt, vty) = self.word_expr(v)?;
-                let (gt, gty) = self.word_expr(g)?;
-                if gty != WordTy::Bool {
-                    return None;
+                    }))
                 }
-                (
+            },
+            // The guard is evaluated first, like the interpreter.
+            Expr::When(v, g) => match (self.lower(v)?, self.lower(g)?) {
+                (Low::Word(vt, vty), Low::Word(gt, WordTy::Bool)) => Low::Word(
                     Box::new(move |p, f| {
                         let gv = gt(p, f)? != 0;
                         p.cost().ops += 1;
@@ -1085,422 +1390,381 @@ impl<'d> Lowerer<'d> {
                         }
                     }),
                     vty,
-                )
-            }
+                ),
+                (lv, lg) => {
+                    let (v, g) = (boxed(lv), boxed(lg));
+                    Low::Boxed(Box::new(move |p, f| {
+                        let gv = g(p, f)?.as_bool()?;
+                        p.cost().ops += 1;
+                        if gv {
+                            v(p, f)
+                        } else {
+                            Err(ExecError::GuardFail)
+                        }
+                    }))
+                }
+            },
             Expr::Let(n, v, b) => {
                 let (vt, binding) = self.bind_value(v)?;
-                self.scope.push((n.clone(), binding));
-                let b = self.word_expr(b);
+                self.scope.push((n, binding));
+                let lb = self.lower(b);
                 self.scope.pop();
-                let (bt, bty) = b?;
-                (
-                    Box::new(move |p, f| {
-                        vt(p, f)?;
-                        bt(p, f)
-                    }),
-                    bty,
-                )
-            }
-            Expr::Call(t, args) => {
-                let (id, m) = prim_target(t)?;
-                // FIFO occupancy probes are 1-bit words already.
-                if matches!(m, PrimMethod::NotEmpty | PrimMethod::NotFull)
-                    && args.is_empty()
-                    && matches!(self.info(id)?.kind, PrimKindInfo::Fifo)
-                {
-                    return Some((
-                        Box::new(move |p, _| p.call_value_word(id, m, 0, 0, 1)),
-                        WordTy::Bool,
-                    ));
-                }
-                return self.word_leaf(e);
-            }
-            Expr::Field(..) | Expr::Index(..) => return self.word_leaf(e),
-            _ => return None,
-        })
-    }
-
-    /// A scalar leaf read out of a resolved packed place: the place
-    /// chain carries all charges, the final bit extraction is free
-    /// (the boxed path's `call_value`/`field`/`index` have already
-    /// been accounted by [`Lowerer::agg_place`]).
-    fn word_leaf(&mut self, e: &Expr) -> Option<(WordThunk, WordTy)> {
-        let (pt, lay) = self.agg_place(e)?;
-        let ty = WordTy::of_layout(&lay)?;
-        let width = ty.width();
-        Some((
-            Box::new(move |p, f| {
-                let pl = pt(p, f)?;
-                read_place_word(p, f, pl, width)
-            }),
-            ty,
-        ))
-    }
-
-    /// Resolves an aggregate-access chain (`prim.read()`, `.field`,
-    /// `[index]`) to a packed [`Place`] without materializing any
-    /// intermediate `Value`. Field offsets fold at lower time; element
-    /// strides multiply a runtime index. The place thunk carges exactly
-    /// what the boxed chain charges, in the same order: the port read
-    /// first (including the FIFO-empty guard failure, so later
-    /// field/index ops are not charged on the failing path), then one
-    /// op per field/index step.
-    fn agg_place(&mut self, e: &Expr) -> Option<(PlaceThunk, Layout)> {
-        match e {
-            Expr::Var(n) => match self.lookup(n)? {
-                Binding::Packed { base, layout } => Some((
-                    Box::new(move |_, _| {
-                        Ok(Place {
-                            kind: PlaceKind::Frame { bit: base },
-                            off: 0,
-                        })
-                    }),
-                    (*layout).clone(),
-                )),
-                _ => None,
-            },
-            Expr::Call(t, args) => {
-                let (id, m) = prim_target(t)?;
-                let info = self.info(id)?;
-                match (info.kind, m, args.as_slice()) {
-                    (PrimKindInfo::Reg, PrimMethod::RegRead, []) => Some((
-                        Box::new(move |p, _| {
-                            p.charge_read();
-                            Ok(Place {
-                                kind: PlaceKind::Prim {
-                                    id,
-                                    m: PrimMethod::RegRead,
-                                    cell: 0,
-                                },
-                                off: 0,
-                            })
+                match lb? {
+                    Low::Word(bt, bty) => Low::Word(
+                        Box::new(move |p, f| {
+                            vt(p, f)?;
+                            bt(p, f)
                         }),
-                        info.layout.clone(),
-                    )),
-                    (PrimKindInfo::Fifo, PrimMethod::First, []) => Some((
-                        Box::new(move |p, _| {
-                            p.charge_read();
-                            if p.peek_word(id, PrimMethod::NotEmpty, 0, 0, 1)? == 0 {
-                                return Err(ExecError::GuardFail);
-                            }
-                            Ok(Place {
-                                kind: PlaceKind::Prim {
-                                    id,
-                                    m: PrimMethod::First,
-                                    cell: 0,
-                                },
-                                off: 0,
-                            })
-                        }),
-                        info.layout.clone(),
-                    )),
-                    (PrimKindInfo::RegFile { size }, PrimMethod::Sub, [i]) => {
-                        let layout = info.layout.clone();
-                        let (it, ity) = self.word_expr(i)?;
-                        Some((
-                            Box::new(move |p, f| {
-                                let iv = ity.view_int(it(p, f)?);
-                                p.charge_read();
-                                let cell = usize::try_from(iv).map_err(|_| {
-                                    ExecError::Bounds(format!("negative index {iv}"))
-                                })?;
-                                if cell >= size {
-                                    return Err(ExecError::Bounds(format!(
-                                        "sub {cell} out of {size}"
-                                    )));
-                                }
-                                Ok(Place {
-                                    kind: PlaceKind::Prim {
-                                        id,
-                                        m: PrimMethod::Sub,
-                                        cell,
-                                    },
-                                    off: 0,
-                                })
-                            }),
-                            layout,
-                        ))
+                        bty,
+                    ),
+                    lb => {
+                        let b = boxed(lb);
+                        Low::Boxed(Box::new(move |p, f| {
+                            vt(p, f)?;
+                            b(p, f)
+                        }))
                     }
-                    _ => None,
+                }
+            }
+            Expr::Call(t, args) => {
+                let (id, m) = prim_target(t)?;
+                let Some(info) = self.info(id) else {
+                    return Some(Low::Boxed(value_call(id, m, self.args(args)?)));
+                };
+                match (info.kind, m, args.as_slice()) {
+                    // FIFO occupancy probes are 1-bit words already.
+                    (PrimKindInfo::Fifo, PrimMethod::NotEmpty | PrimMethod::NotFull, []) => {
+                        Low::Word(
+                            Box::new(move |p, _| p.call_value_word(id, m, 0, 0, 1)),
+                            WordTy::Bool,
+                        )
+                    }
+                    (PrimKindInfo::Reg, PrimMethod::RegRead, []) => {
+                        leaf(Node::Reg(id), info.layout.clone())
+                    }
+                    (PrimKindInfo::Fifo, PrimMethod::First, []) => {
+                        leaf(Node::First(id), info.layout.clone())
+                    }
+                    (PrimKindInfo::RegFile { size }, PrimMethod::Sub, [i]) => {
+                        match self.lower(i)? {
+                            Low::Word(idx, ity) => {
+                                leaf(Node::Sub { id, size, idx, ity }, info.layout.clone())
+                            }
+                            li => Low::Boxed(value_call(id, m, Args::A1(boxed(li)))),
+                        }
+                    }
+                    _ => Low::Boxed(value_call(id, m, self.args(args)?)),
+                }
+            }
+            Expr::Index(v, i) => {
+                // Indexing a let-bound vector is fused into a direct slot
+                // access, like the Vm's `LoadIndex`: the element is copied
+                // straight out of the slot without cloning the vector.
+                // `Var` evaluation is infallible, so hoisting it past the
+                // index expression cannot reorder failures; charged cost
+                // is identical.
+                if let Expr::Var(n) = v.as_ref() {
+                    let li = self.lower(i)?;
+                    return Some(match self.lookup(n)? {
+                        Binding::Packed { base, layout } => match (vector_dims(&layout), li) {
+                            (Some((len, stride, elem)), Low::Word(idx, ity)) => {
+                                let inner = Chain {
+                                    node: Node::Frame { base },
+                                    layout: (*layout).clone(),
+                                };
+                                leaf(
+                                    Node::Index {
+                                        inner: Box::new(inner),
+                                        len,
+                                        stride,
+                                        idx,
+                                        ity,
+                                    },
+                                    elem,
+                                )
+                            }
+                            (Some((len, stride, elem)), li) => {
+                                Low::Boxed(frame_index(base, len, stride, elem, boxed(li)))
+                            }
+                            (None, li) => {
+                                let i = boxed(li);
+                                Low::Boxed(Box::new(move |p, f| {
+                                    let iv = i(p, f)?.as_index()?;
+                                    p.cost().ops += 1;
+                                    Value::read_flat(&layout, &f.words, base).index(iv).cloned()
+                                }))
+                            }
+                        },
+                        Binding::Boxed(s) => {
+                            let i = boxed(li);
+                            Low::Boxed(Box::new(move |p, f| {
+                                let iv = i(p, f)?.as_index()?;
+                                p.cost().ops += 1;
+                                f.slots[s].index(iv).cloned()
+                            }))
+                        }
+                        // A word binding is a scalar: indexing it is a
+                        // type error. Materialize for the identical
+                        // error message.
+                        Binding::Word { slot, ty } => {
+                            let i = boxed(li);
+                            Low::Boxed(Box::new(move |p, f| {
+                                let iv = i(p, f)?.as_index()?;
+                                p.cost().ops += 1;
+                                ty.materialize(f.words[slot]).index(iv).cloned()
+                            }))
+                        }
+                    });
+                }
+                match (self.lower(v)?, self.lower(i)?) {
+                    (Low::Place(c), Low::Word(idx, ity)) => match vector_dims(&c.layout) {
+                        Some((len, stride, elem)) => leaf(
+                            Node::Index {
+                                inner: Box::new(c),
+                                len,
+                                stride,
+                                idx,
+                                ity,
+                            },
+                            elem,
+                        ),
+                        None => Low::Boxed(index_of(boxed_chain(c), boxed(Low::Word(idx, ity)))),
+                    },
+                    (lv, li) => Low::Boxed(index_of(boxed(lv), boxed(li))),
                 }
             }
             Expr::Field(v, name) => {
-                let (inner, lay) = self.agg_place(v)?;
-                let LayoutKind::Struct { fields } = &lay.kind else {
-                    return None;
-                };
-                let fl = fields.iter().find(|fl| &fl.name == name)?;
-                let foff = fl.offset;
-                let flay = fl.layout.clone();
-                Some((
-                    Box::new(move |p, f| {
-                        let mut pl = inner(p, f)?;
-                        p.cost().ops += 1;
-                        pl.off += foff;
-                        Ok(pl)
-                    }),
-                    flay,
-                ))
-            }
-            Expr::Index(v, i) => {
-                let (inner, lay) = self.agg_place(v)?;
-                let LayoutKind::Vector { len, stride, elem } = &lay.kind else {
-                    return None;
-                };
-                let (len, stride, elay) = (*len, *stride, (**elem).clone());
-                let (it, ity) = self.word_expr(i)?;
-                Some((
-                    Box::new(move |p, f| {
-                        let mut pl = inner(p, f)?;
-                        let iv = ity.view_int(it(p, f)?);
-                        let idx = usize::try_from(iv)
-                            .map_err(|_| ExecError::Bounds(format!("negative index {iv}")))?;
-                        p.cost().ops += 1;
-                        if idx >= len {
-                            return Err(ExecError::Bounds(format!("index {idx} out of {len}")));
-                        }
-                        pl.off += idx as u32 * stride;
-                        Ok(pl)
-                    }),
-                    elay,
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    /// Lowers an expression to a closure that writes its packed bits
-    /// into frame scratch at `dst` — the zero-`Value` path for
-    /// aggregate method arguments. Returns the packed width. `MkVec`/
-    /// `MkStruct` pack elements at their running offsets and charge
-    /// one op per element after evaluation, like the boxed
-    /// constructors; constants pre-pack at lower time.
-    fn packed_expr(&mut self, e: &Expr, dst: usize) -> Option<(ActThunk, u32)> {
-        if let Some((wt, ty)) = self.word_expr(e) {
-            let width = ty.width();
-            return Some((
-                Box::new(move |p, f| {
-                    let w = wt(p, f)?;
-                    put_bits(&mut f.words, dst, width, w);
-                    Ok(())
-                }),
-                width,
-            ));
-        }
-        match e {
-            Expr::Const(v) => {
-                let lay = Layout::of(&v.type_of());
-                let mut ws = vec![0u64; lay.words64().max(1)];
-                v.write_flat(&mut ws, 0);
-                let width = lay.width;
-                Some((
-                    Box::new(move |_, f| {
-                        copy_bits(&ws, 0, &mut f.words, dst, width);
-                        Ok(())
-                    }),
-                    width,
-                ))
-            }
-            Expr::MkVec(es) => {
-                let mut parts = Vec::with_capacity(es.len());
-                let mut at = dst;
-                for el in es {
-                    let (t, w) = self.packed_expr(el, at)?;
-                    at += w as usize;
-                    parts.push(t);
+                // Field of a let-bound struct: fused like the Vm's
+                // `LoadField`.
+                if let Expr::Var(n) = v.as_ref() {
+                    let name = name.clone();
+                    return Some(match self.lookup(n)? {
+                        Binding::Packed { base, layout } => match struct_field(&layout, &name) {
+                            Some((off, flay)) => {
+                                let inner = Chain {
+                                    node: Node::Frame { base },
+                                    layout: (*layout).clone(),
+                                };
+                                leaf(
+                                    Node::Field {
+                                        inner: Box::new(inner),
+                                        off,
+                                        name,
+                                    },
+                                    flay,
+                                )
+                            }
+                            // A missing field materializes for the boxed
+                            // error message.
+                            None => Low::Boxed(Box::new(move |p, f| {
+                                p.cost().ops += 1;
+                                Value::read_flat(&layout, &f.words, base)
+                                    .field(&name)
+                                    .cloned()
+                            })),
+                        },
+                        Binding::Boxed(s) => Low::Boxed(Box::new(move |p, f| {
+                            p.cost().ops += 1;
+                            f.slots[s].field(&name).cloned()
+                        })),
+                        Binding::Word { slot, ty } => Low::Boxed(Box::new(move |p, f| {
+                            p.cost().ops += 1;
+                            ty.materialize(f.words[slot]).field(&name).cloned()
+                        })),
+                    });
                 }
-                let n = es.len() as u64;
-                Some((
-                    Box::new(move |p, f| {
-                        for t in &parts {
-                            t(p, f)?;
-                        }
-                        p.cost().ops += n;
-                        Ok(())
-                    }),
-                    (at - dst) as u32,
-                ))
+                match self.lower(v)? {
+                    Low::Place(c) => match struct_field(&c.layout, name) {
+                        Some((off, flay)) => leaf(
+                            Node::Field {
+                                inner: Box::new(c),
+                                off,
+                                name: name.clone(),
+                            },
+                            flay,
+                        ),
+                        None => Low::Boxed(field_of(boxed_chain(c), name.clone())),
+                    },
+                    lv => Low::Boxed(field_of(boxed(lv), name.clone())),
+                }
             }
+            Expr::MkVec(es) => Low::Boxed(mk_vec(self.exprs(es)?)),
             Expr::MkStruct(fs) => {
-                let mut parts = Vec::with_capacity(fs.len());
-                let mut at = dst;
-                for (_, el) in fs {
-                    let (t, w) = self.packed_expr(el, at)?;
-                    at += w as usize;
-                    parts.push(t);
-                }
-                let n = fs.len() as u64;
-                Some((
-                    Box::new(move |p, f| {
-                        for t in &parts {
-                            t(p, f)?;
-                        }
-                        p.cost().ops += n;
-                        Ok(())
-                    }),
-                    (at - dst) as u32,
-                ))
+                let ts = self.exprs(fs.iter().map(|(_, e)| e))?;
+                Low::Boxed(mk_struct(fs.iter().map(|(n, _)| n.clone()).collect(), ts))
             }
-            _ => {
-                let (pt, lay) = self.agg_place(e)?;
-                let width = lay.width;
-                Some((
-                    Box::new(move |p, f| {
-                        let pl = pt(p, f)?;
-                        copy_place_packed(p, f, pl, width, dst)
-                    }),
-                    width,
-                ))
-            }
-        }
-    }
-
-    /// The word-path lowering of an action-method call: register
-    /// writes, FIFO enqueues, and regfile updates whose payload can
-    /// travel as a word or as packed scratch bits. `None` falls back to
-    /// the boxed call (which still word-lowers its argument
-    /// subexpressions where possible). The payload width must equal
-    /// the primitive's element width — the boxed path's runtime width
-    /// check, proved at lower time.
-    fn call_action_flat(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ActThunk> {
-        self.prims?;
-        let info = self.info(id)?;
-        let lane_width = info.layout.width;
-        match (info.kind, m, args) {
-            (PrimKindInfo::Reg, PrimMethod::RegWrite, [e])
-            | (PrimKindInfo::Fifo, PrimMethod::Enq, [e]) => {
-                if let Some((wt, wty)) = self.word_expr(e) {
-                    if wty.width() != lane_width {
-                        return None;
-                    }
-                    return Some(Box::new(move |p, f| {
-                        let w = wt(p, f)?;
-                        p.call_action_word(id, m, 0, w)
-                    }));
-                }
-                let dst = self.alloc_region(lane_width);
-                let (pt, w) = self.packed_expr(e, dst)?;
-                if w != lane_width {
-                    return None;
-                }
-                Some(Box::new(move |p, f| {
-                    pt(p, f)?;
-                    p.call_action_packed(id, m, 0, &f.words, dst)
+            Expr::UpdateIndex(v, i, x) => {
+                let v = self.expr(v)?;
+                let i = self.expr(i)?;
+                let x = self.expr(x)?;
+                Low::Boxed(Box::new(move |p, f| {
+                    let vv = v(p, f)?;
+                    let iv = i(p, f)?.as_index()?;
+                    let xv = x(p, f)?;
+                    // Functional update costs a copy of the vector.
+                    p.cost().ops += vv.as_vec().map(|s| s.len() as u64).unwrap_or(1);
+                    vv.update_index(iv, xv)
                 }))
             }
+            Expr::UpdateField(v, name, x) => {
+                let v = self.expr(v)?;
+                let x = self.expr(x)?;
+                let name = name.clone();
+                Low::Boxed(Box::new(move |p, f| {
+                    let vv = v(p, f)?;
+                    let xv = x(p, f)?;
+                    p.cost().ops += 1;
+                    vv.update_field(&name, xv)
+                }))
+            }
+        })
+    }
+
+    /// Lowers a let-bound value to the cheapest binding it supports:
+    /// an unboxed word, a packed aggregate region (copied bitwise from
+    /// its place, no `Value` built), or a boxed slot. The returned
+    /// thunk performs the store; charges are exactly the value
+    /// expression's own (the slot store itself is free, as in the
+    /// interpreter).
+    fn bind_value(&mut self, v: &'a Expr) -> Option<(ActThunk, Binding)> {
+        Some(match self.lower(v)? {
+            Low::Word(wt, ty) => {
+                let slot = self.words;
+                self.words += 1;
+                let t: ActThunk = Box::new(move |p, f| {
+                    f.words[slot] = wt(p, f)?;
+                    Ok(())
+                });
+                (t, Binding::Word { slot, ty })
+            }
+            Low::Place(Chain { node, layout })
+                if matches!(
+                    layout.kind,
+                    LayoutKind::Vector { .. } | LayoutKind::Struct { .. }
+                ) =>
+            {
+                let base = self.alloc_region(layout.width);
+                let width = layout.width;
+                let pt = place_thunk(node);
+                let t: ActThunk = Box::new(move |p, f| {
+                    let pl = pt(p, f)?;
+                    copy_place_packed(p, f, pl, width, base)
+                });
+                (
+                    t,
+                    Binding::Packed {
+                        base,
+                        layout: Arc::new(layout),
+                    },
+                )
+            }
+            low => {
+                let v = boxed(low);
+                let slot = self.slots;
+                self.slots += 1;
+                let t: ActThunk = Box::new(move |p, f| {
+                    f.slots[slot] = v(p, f)?;
+                    Ok(())
+                });
+                (t, Binding::Boxed(slot))
+            }
+        })
+    }
+
+    /// Lowers an action-method argument, leaving aggregate constants and
+    /// constructors open so the call can pack them.
+    fn payload(&mut self, e: &'a Expr) -> Option<Payload<'a>> {
+        Some(match e {
+            Expr::Const(v) if WordTy::of_value(v).is_none() => Payload::Const(v),
+            Expr::MkVec(es) => Payload::Make(
+                es.iter().map(|e| self.payload(e)).collect::<Option<_>>()?,
+                None,
+            ),
+            Expr::MkStruct(fs) => Payload::Make(
+                fs.iter()
+                    .map(|(_, e)| self.payload(e))
+                    .collect::<Option<_>>()?,
+                Some(fs),
+            ),
+            _ => Payload::Low(self.lower(e)?),
+        })
+    }
+
+    /// Routes a payload to a `width`-bit primitive lane: as a word when
+    /// it is one of exactly that width, as packed scratch bits when
+    /// every part packs to exactly that width (the boxed path's runtime
+    /// width check, proved at lower time), boxed otherwise.
+    fn lane(&mut self, pl: Payload<'a>, width: u32) -> Lane {
+        match pl {
+            Payload::Low(Low::Word(wt, ty)) if ty.width() == width => Lane::Word(wt),
+            Payload::Low(Low::Word(wt, ty)) => Lane::Boxed(boxed(Low::Word(wt, ty))),
+            pl if pl.packed_width() == Some(width) => {
+                let dst = self.alloc_region(width);
+                Lane::Packed(pl.pack(dst).0, dst)
+            }
+            pl => Lane::Boxed(pl.boxed()),
+        }
+    }
+
+    /// An action-method call. On the flat pass, register writes, FIFO
+    /// enqueues, and regfile updates whose payload fits the lane travel
+    /// as a word or as packed scratch bits; every other call passes
+    /// boxed `Value`s (whose subexpressions may still take the word
+    /// path).
+    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &'a [Expr]) -> Option<ActThunk> {
+        let Some(info) = self.info(id) else {
+            return Some(action_call(id, m, self.args(args)?));
+        };
+        let lane_width = info.layout.width;
+        Some(match (info.kind, m, args) {
+            (PrimKindInfo::Reg, PrimMethod::RegWrite, [e])
+            | (PrimKindInfo::Fifo, PrimMethod::Enq, [e]) => {
+                let pl = self.payload(e)?;
+                match self.lane(pl, lane_width) {
+                    Lane::Word(wt) => Box::new(move |p, f| {
+                        let w = wt(p, f)?;
+                        p.call_action_word(id, m, 0, w)
+                    }),
+                    Lane::Packed(pt, dst) => Box::new(move |p, f| {
+                        pt(p, f)?;
+                        p.call_action_packed(id, m, 0, &f.words, dst)
+                    }),
+                    Lane::Boxed(a0) => action_call(id, m, Args::A1(a0)),
+                }
+            }
             (PrimKindInfo::RegFile { .. }, PrimMethod::Upd, [i, e]) => {
-                let (it, ity) = self.word_expr(i)?;
-                if let Some((wt, wty)) = self.word_expr(e) {
-                    if wty.width() != lane_width {
-                        return None;
-                    }
-                    return Some(Box::new(move |p, f| {
+                let li = self.lower(i)?;
+                let pl = self.payload(e)?;
+                let Low::Word(it, ity) = li else {
+                    return Some(action_call(id, m, Args::A2(boxed(li), pl.boxed())));
+                };
+                match self.lane(pl, lane_width) {
+                    Lane::Word(wt) => Box::new(move |p, f| {
                         let iv = ity.view_int(it(p, f)?);
                         let w = wt(p, f)?;
                         p.call_action_word(id, PrimMethod::Upd, iv, w)
-                    }));
+                    }),
+                    Lane::Packed(pt, dst) => Box::new(move |p, f| {
+                        let iv = ity.view_int(it(p, f)?);
+                        pt(p, f)?;
+                        p.call_action_packed(id, PrimMethod::Upd, iv, &f.words, dst)
+                    }),
+                    Lane::Boxed(a1) => action_call(id, m, Args::A2(boxed(Low::Word(it, ity)), a1)),
                 }
-                let dst = self.alloc_region(lane_width);
-                let (pt, w) = self.packed_expr(e, dst)?;
-                if w != lane_width {
-                    return None;
-                }
-                Some(Box::new(move |p, f| {
-                    let iv = ity.view_int(it(p, f)?);
-                    pt(p, f)?;
-                    p.call_action_packed(id, PrimMethod::Upd, iv, &f.words, dst)
-                }))
             }
-            _ => None,
-        }
-    }
-
-    /// A value-method call, argument lists of arity ≤ 2 specialized to
-    /// stack arrays (the Vm allocates a `Vec` per call via `split_off`).
-    fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ExprThunk> {
-        Some(match args {
-            [] => Box::new(move |p, _| p.call_value(id, m, &[])),
-            [a0] => {
-                let a0 = self.expr(a0)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    p.call_value(id, m, std::slice::from_ref(&v0))
-                })
-            }
-            [a0, a1] => {
-                let a0 = self.expr(a0)?;
-                let a1 = self.expr(a1)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    let v1 = a1(p, f)?;
-                    p.call_value(id, m, &[v0, v1])
-                })
-            }
-            _ => {
-                let ts = self.exprs(args)?;
-                Box::new(move |p, f| {
-                    let mut vals = Vec::with_capacity(ts.len());
-                    for t in &ts {
-                        vals.push(t(p, f)?);
-                    }
-                    p.call_value(id, m, &vals)
-                })
-            }
+            _ => action_call(id, m, self.args(args)?),
         })
     }
 
-    /// An action-method call; same arity specialization as value calls.
-    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ActThunk> {
-        Some(match args {
-            [] => Box::new(move |p, _| p.call_action(id, m, &[])),
-            [a0] => {
-                let a0 = self.expr(a0)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    p.call_action(id, m, std::slice::from_ref(&v0))
-                })
-            }
-            [a0, a1] => {
-                let a0 = self.expr(a0)?;
-                let a1 = self.expr(a1)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    let v1 = a1(p, f)?;
-                    p.call_action(id, m, &[v0, v1])
-                })
-            }
-            _ => {
-                let ts = self.exprs(args)?;
-                Box::new(move |p, f| {
-                    let mut vals = Vec::with_capacity(ts.len());
-                    for t in &ts {
-                        vals.push(t(p, f)?);
-                    }
-                    p.call_action(id, m, &vals)
-                })
-            }
-        })
-    }
-
-    fn action(&mut self, a: &Action) -> Option<ActThunk> {
+    fn action(&mut self, a: &'a Action) -> Option<ActThunk> {
         Some(match a {
             Action::NoAction => Box::new(|_, _| Ok(())),
             Action::Write(t, e) => {
                 let (id, m) = prim_target(t)?;
-                if self.prims.is_some() {
-                    if let Some(t) = self.call_action_flat(id, m, std::slice::from_ref(e)) {
-                        return Some(t);
-                    }
-                }
                 return self.call_action(id, m, std::slice::from_ref(e));
             }
             Action::Call(t, args) => {
                 let (id, m) = prim_target(t)?;
-                if self.prims.is_some() {
-                    if let Some(t) = self.call_action_flat(id, m, args) {
-                        return Some(t);
-                    }
-                }
                 return self.call_action(id, m, args);
             }
             Action::If(c, th, el) => {
@@ -1546,7 +1810,7 @@ impl<'d> Lowerer<'d> {
             }
             Action::Let(n, e, x) => {
                 let (et, binding) = self.bind_value(e)?;
-                self.scope.push((n.clone(), binding));
+                self.scope.push((n, binding));
                 let x = self.action(x);
                 self.scope.pop();
                 let x = x?;
@@ -1600,6 +1864,25 @@ impl<'d> Lowerer<'d> {
     }
 }
 
+/// The length, stride and element layout of a vector layout.
+fn vector_dims(layout: &Layout) -> Option<(usize, u32, Layout)> {
+    match &layout.kind {
+        LayoutKind::Vector { len, stride, elem } => Some((*len, *stride, (**elem).clone())),
+        _ => None,
+    }
+}
+
+/// The offset and layout of a named field of a struct layout.
+fn struct_field(layout: &Layout, name: &str) -> Option<(u32, Layout)> {
+    match &layout.kind {
+        LayoutKind::Struct { fields } => fields
+            .iter()
+            .find(|fl| fl.name == name)
+            .map(|fl| (fl.offset, fl.layout.clone())),
+        _ => None,
+    }
+}
+
 fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
     match t {
         Target::Prim(id, m) => Some((*id, *m)),
@@ -1607,174 +1890,140 @@ fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
     }
 }
 
-/// Lowers an expression (typically a lifted guard) to a native closure.
-/// `None` when it references unelaborated names or free variables —
-/// callers fall back to the AST interpreter. The result carries no
-/// flat-store variant; use [`compile_plan`] (which knows the
-/// [`Design`]) for the word-path lowering.
-pub fn compile_expr(e: &Expr) -> Option<CompiledExpr> {
-    let mut l = Lowerer::new(None);
-    let thunk = l.expr(e)?;
+/// Lowers a guard for the store kind `prims` selects (`None`: tree).
+fn lower_guard(e: &Expr, prims: Option<&[PrimInfo]>) -> Option<CompiledExpr> {
+    let mut l = Lowerer::new(prims);
+    let eval = match l.lower(e)? {
+        // Guards are Bool-typed; a non-Bool root must keep the boxed
+        // `as_bool` error, so only Bool roots take the bare-word form.
+        Low::Word(wt, WordTy::Bool) => GuardEval::Word(wt),
+        low => GuardEval::Boxed(boxed(low)),
+    };
     Some(CompiledExpr {
-        thunk,
-        slots: l.slots,
-        flat: None,
+        eval,
+        frame: l.footprint(),
+        flat: prims.is_some(),
     })
 }
 
-/// Lowers a rule body to a native closure, or `None` if it uses
-/// constructs the backend does not model (`localGuard`, unelaborated
-/// names). Boxed-only, like [`compile_expr`].
-pub fn compile_action(a: &Action) -> Option<CompiledAction> {
-    let mut l = Lowerer::new(None);
+/// Lowers a rule body for the store kind `prims` selects.
+fn lower_body(a: &Action, prims: Option<&[PrimInfo]>) -> Option<CompiledAction> {
+    let mut l = Lowerer::new(prims);
     let thunk = l.action(a)?;
     Some(CompiledAction {
         thunk,
-        slots: l.slots,
-        flat: None,
+        frame: l.footprint(),
+        flat: prims.is_some(),
     })
 }
 
-/// Lowers a guard twice: boxed (used on tree stores) and flat. A guard
-/// whose word lowering reaches the root becomes a [`FlatEval::Word`]
-/// that never materializes a `Value`; otherwise the flat variant is a
-/// boxed closure whose scalar subexpressions still travel as words.
-fn compile_expr_flat(e: &Expr, infos: &[PrimInfo]) -> Option<CompiledExpr> {
-    let boxed = compile_expr(e)?;
-    let mut l = Lowerer::new(Some(infos));
-    let flat = match l.word_expr(e) {
-        // Guards are Bool-typed; a non-Bool root must keep the boxed
-        // `as_bool` error, so only Bool roots take the bare-word form.
-        Some((wt, WordTy::Bool)) => Some(FlatExpr {
-            eval: FlatEval::Word(wt),
-            slots: l.slots,
-            words: l.words,
-        }),
-        Some((wt, ty)) => Some(FlatExpr {
-            eval: FlatEval::Boxed(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?)))),
-            slots: l.slots,
-            words: l.words,
-        }),
-        None => {
-            let mut l = Lowerer::new(Some(infos));
-            l.expr(e).map(|t| FlatExpr {
-                eval: FlatEval::Boxed(t),
-                slots: l.slots,
-                words: l.words,
-            })
-        }
-    };
-    Some(CompiledExpr {
-        thunk: boxed.thunk,
-        slots: boxed.slots,
-        flat,
-    })
+/// Lowers an expression (typically a lifted guard) to a native closure
+/// for tree-backed stores. `None` when it references unelaborated names
+/// or free variables — callers fall back to the AST interpreter. Use
+/// [`compile_plan`] (which knows the [`Design`]) for the flat-store
+/// word-path lowering.
+pub fn compile_expr(e: &Expr) -> Option<CompiledExpr> {
+    lower_guard(e, None)
 }
 
-/// Lowers a rule body twice: boxed and flat (see [`compile_expr_flat`]).
-fn compile_action_flat(a: &Action, infos: &[PrimInfo]) -> Option<CompiledAction> {
-    let boxed = compile_action(a)?;
-    let mut l = Lowerer::new(Some(infos));
-    let flat = l.action(a).map(|t| FlatAction {
-        thunk: t,
-        slots: l.slots,
-        words: l.words,
-    });
-    Some(CompiledAction {
-        thunk: boxed.thunk,
-        slots: boxed.slots,
-        flat,
-    })
+/// Lowers a rule body to a native closure for tree-backed stores, or
+/// `None` if it uses constructs the backend does not model
+/// (`localGuard`, unelaborated names).
+pub fn compile_action(a: &Action) -> Option<CompiledAction> {
+    lower_body(a, None)
 }
 
-fn compile_plan_with(plan: &RulePlan, infos: &[PrimInfo]) -> NativeRule {
+fn compile_plan_with(plan: &RulePlan, prims: Option<&[PrimInfo]>) -> NativeRule {
     NativeRule {
-        guard: plan
-            .guard
-            .as_ref()
-            .and_then(|g| compile_expr_flat(g, infos)),
-        body: compile_action_flat(&plan.body, infos),
+        guard: plan.guard.as_ref().and_then(|g| lower_guard(g, prims)),
+        body: lower_body(&plan.body, prims),
     }
 }
 
-/// Lowers one compiled rule plan to native closures. The design is
-/// consulted for primitive element layouts so that, on flat-arena
-/// stores, scalar port traffic runs unboxed (see the module docs);
-/// tree-backed stores use the boxed closures unchanged.
+/// Lowers one compiled rule plan to native closures for flat-arena
+/// stores. The design is consulted for primitive element layouts so
+/// that scalar port traffic runs unboxed (see the module docs).
 pub fn compile_plan(plan: &RulePlan, design: &Design) -> NativeRule {
-    compile_plan_with(plan, &prim_infos(design))
+    compile_plan_with(plan, Some(&prim_infos(design)))
 }
 
-/// Lowers every plan of a design, building the layout table once.
+/// Lowers every plan of a design for flat-arena stores, building the
+/// layout table once.
 pub fn compile_plans(plans: &[RulePlan], design: &Design) -> Vec<NativeRule> {
     let infos = prim_infos(design);
-    plans.iter().map(|p| compile_plan_with(p, &infos)).collect()
+    plans
+        .iter()
+        .map(|p| compile_plan_with(p, Some(&infos)))
+        .collect()
+}
+
+/// Lowers every plan once, for the kind of `store` it will run on: the
+/// word lowering ([`compile_plans`]) for a flat-arena store, the boxed
+/// one ([`compile_expr`]/[`compile_action`]) for a tree-backed store.
+pub fn compile_plans_for(plans: &[RulePlan], design: &Design, store: &Store) -> Vec<NativeRule> {
+    if store.is_flat() {
+        compile_plans(plans, design)
+    } else {
+        plans.iter().map(|p| compile_plan_with(p, None)).collect()
+    }
+}
+
+fn store_mismatch(flat: bool) -> ExecError {
+    let (lowered, store) = if flat {
+        ("flat-arena", "tree-backed")
+    } else {
+        ("tree-backed", "flat-arena")
+    };
+    ExecError::Malformed(format!(
+        "rule lowered for a {lowered} store run on a {store} store"
+    ))
 }
 
 /// Native counterpart of [`crate::exec::eval_guard_ro`] /
 /// [`crate::exec::eval_guard_compiled`]: evaluates a lowered guard
 /// directly against the committed store, folding guard failures to
-/// `Ok(false)`. Charges identical cost to both.
+/// `Ok(false)`. Charges identical cost to both. The lowering must fit
+/// the store ([`CompiledExpr::fits`]; [`NativeRule::eval_guard`] falls
+/// back to the interpreter instead).
 pub fn eval_guard_native(
     frame: &mut NativeFrame,
     store: &Store,
     guard: &CompiledExpr,
     cost: &mut Cost,
 ) -> ExecResult<bool> {
-    cost.guard_evals += 1;
-    if store.is_flat() {
-        if let Some(fx) = &guard.flat {
-            frame.ensure(fx.slots);
-            frame.ensure_words(fx.words);
-            let mut port = NativePort::Ro { store, cost };
-            return match &fx.eval {
-                FlatEval::Word(t) => match t(&mut port, frame) {
-                    Ok(w) => Ok(w != 0),
-                    Err(ExecError::GuardFail) => Ok(false),
-                    Err(e) => Err(e),
-                },
-                FlatEval::Boxed(t) => match t(&mut port, frame) {
-                    Ok(v) => v.as_bool(),
-                    Err(ExecError::GuardFail) => Ok(false),
-                    Err(e) => Err(e),
-                },
-            };
-        }
+    if !guard.fits(store) {
+        return Err(store_mismatch(guard.flat));
     }
-    frame.ensure(guard.slots);
+    cost.guard_evals += 1;
+    frame.enter(guard.frame);
     let mut port = NativePort::Ro { store, cost };
-    match (guard.thunk)(&mut port, frame) {
-        Ok(v) => v.as_bool(),
+    let r = match &guard.eval {
+        GuardEval::Word(t) => t(&mut port, frame).map(|w| w != 0),
+        GuardEval::Boxed(t) => t(&mut port, frame).and_then(|v| v.as_bool()),
+    };
+    match r {
         Err(ExecError::GuardFail) => Ok(false),
-        Err(e) => Err(e),
+        r => r,
     }
 }
 
 /// Native counterpart of [`crate::exec::run_rule_compiled`]: executes a
 /// lowered body as a transaction, committing on success and rolling back
-/// on guard failure.
+/// on guard failure. The lowering must fit the store.
 pub fn run_rule_native(
     frame: &mut NativeFrame,
     store: &mut Store,
     body: &CompiledAction,
     policy: ShadowPolicy,
 ) -> ExecResult<(RuleOutcome, Cost)> {
-    let use_flat = store.is_flat();
+    if !body.fits(store) {
+        return Err(store_mismatch(body.flat));
+    }
+    frame.enter(body.frame);
     let mut txn = Txn::new(store, policy);
     txn.cost.txn_setups += 1;
-    let thunk = match (&body.flat, use_flat) {
-        (Some(fa), true) => {
-            frame.ensure(fa.slots);
-            frame.ensure_words(fa.words);
-            &fa.thunk
-        }
-        _ => {
-            frame.ensure(body.slots);
-            &body.thunk
-        }
-    };
     let mut port = NativePort::Txn(txn);
-    let r = thunk(&mut port, frame);
+    let r = (body.thunk)(&mut port, frame);
     let NativePort::Txn(txn) = port else {
         unreachable!("rule body cannot change its port variant")
     };
@@ -1788,28 +2037,21 @@ pub fn run_rule_native(
 /// Native counterpart of [`crate::exec::run_rule_inplace_compiled`]:
 /// executes a fully guard-lifted body straight against the committed
 /// store — no transaction, no frame stack, no shadow map. Cost-identical
-/// to the in-place interpreter and Vm paths.
+/// to the in-place interpreter and Vm paths. The lowering must fit the
+/// store.
 pub fn run_rule_inplace_native(
     frame: &mut NativeFrame,
     store: &mut Store,
     body: &CompiledAction,
 ) -> ExecResult<Cost> {
-    let use_flat = store.is_flat();
-    let thunk = match (&body.flat, use_flat) {
-        (Some(fa), true) => {
-            frame.ensure(fa.slots);
-            frame.ensure_words(fa.words);
-            &fa.thunk
-        }
-        _ => {
-            frame.ensure(body.slots);
-            &body.thunk
-        }
-    };
+    if !body.fits(store) {
+        return Err(store_mismatch(body.flat));
+    }
+    frame.enter(body.frame);
     let mut cost = Cost::default();
     cost.inplace_runs += 1;
     let mut port = NativePort::InPlace { store, cost };
-    let r = thunk(&mut port, frame);
+    let r = (body.thunk)(&mut port, frame);
     let NativePort::InPlace { cost, .. } = port else {
         unreachable!("rule body cannot change its port variant")
     };
@@ -1827,10 +2069,7 @@ mod tests {
     use super::*;
     use crate::ast::{Path, PrimId, PrimMethod, RuleDef};
     use crate::design::{Design, PrimDef};
-    use crate::exec::{
-        eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, run_rule_inplace,
-        run_rule_inplace_compiled, Vm,
-    };
+    use crate::exec::{eval_guard_compiled, run_rule_compiled, run_rule_inplace_compiled, Vm};
     use crate::prim::PrimSpec;
     use crate::types::Type;
     use crate::value::BinOp;
@@ -1880,12 +2119,13 @@ mod tests {
 
     /// Five-way parity: the native backend must match the AST
     /// interpreter AND the stack machine in verdicts, final state, and —
-    /// bit for bit — cost counters; the flat-store word path must match
-    /// the flat-store interpreter the same way, with identical costs to
-    /// the tree legs.
+    /// bit for bit — cost counters; the flat-store word lowering must
+    /// match the flat-store interpreter the same way, with identical
+    /// costs to the tree legs.
     fn assert_native_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
         let plan = compile_rule(rule, CompileOpts::default());
-        let native = compile_plan(&plan, design);
+        let tree = compile_plan_with(&plan, None);
+        let flat = compile_plan(&plan, design);
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
         let mut s_vm = s_ast.clone();
@@ -1896,18 +2136,19 @@ mod tests {
         let mut vm = Vm::new();
         let mut frame = NativeFrame::new();
         if let Some(g) = &plan.guard {
-            let prog = plan.guard_prog.as_ref().expect("guard compiles to Prog");
-            let cg = native.guard.as_ref().expect("guard compiles natively");
+            let prog = crate::xform::compile_expr(g).expect("guard compiles to Prog");
+            let cg = tree.guard.as_ref().expect("guard compiles natively");
+            let fg = flat.guard.as_ref().expect("guard word-lowers");
             let mut c_ast = Cost::default();
             let mut c_vm = Cost::default();
             let mut c_nat = Cost::default();
             let mut c_fla = Cost::default();
             let mut c_fln = Cost::default();
             let v_ast = eval_guard_ro(&mut s_ast, g, &mut c_ast).unwrap();
-            let v_vm = eval_guard_compiled(&mut vm, &s_vm, prog, &mut c_vm).unwrap();
+            let v_vm = eval_guard_compiled(&mut vm, &s_vm, &prog, &mut c_vm).unwrap();
             let v_nat = eval_guard_native(&mut frame, &s_nat, cg, &mut c_nat).unwrap();
             let v_fla = eval_guard_ro(&mut s_fla, g, &mut c_fla).unwrap();
-            let v_fln = eval_guard_native(&mut frame, &s_fln, cg, &mut c_fln).unwrap();
+            let v_fln = eval_guard_native(&mut frame, &s_fln, fg, &mut c_fln).unwrap();
             assert_eq!(v_ast, v_nat, "guard verdict for {}", rule.name);
             assert_eq!(v_vm, v_nat, "guard verdict vm/native for {}", rule.name);
             assert_eq!(c_ast, c_nat, "guard cost for {}", rule.name);
@@ -1917,16 +2158,17 @@ mod tests {
             assert_eq!(c_fla, c_nat, "guard cost flat-ast for {}", rule.name);
             assert_eq!(c_fln, c_nat, "guard cost flat-native for {}", rule.name);
         }
-        let prog = plan.body_prog.as_ref().expect("body compiles to Prog");
-        let cb = native.body.as_ref().expect("body compiles natively");
+        let prog = crate::xform::compile_action(&plan.body).expect("body compiles to Prog");
+        let cb = tree.body.as_ref().expect("body compiles natively");
+        let fb = flat.body.as_ref().expect("body word-lowers");
         let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
         let (out_vm, cost_vm) =
-            run_rule_compiled(&mut vm, &mut s_vm, prog, ShadowPolicy::Partial).unwrap();
+            run_rule_compiled(&mut vm, &mut s_vm, &prog, ShadowPolicy::Partial).unwrap();
         let (out_nat, cost_nat) =
             run_rule_native(&mut frame, &mut s_nat, cb, ShadowPolicy::Partial).unwrap();
         let (out_fla, cost_fla) = run_rule(&mut s_fla, &plan.body, ShadowPolicy::Partial).unwrap();
         let (out_fln, cost_fln) =
-            run_rule_native(&mut frame, &mut s_fln, cb, ShadowPolicy::Partial).unwrap();
+            run_rule_native(&mut frame, &mut s_fln, fb, ShadowPolicy::Partial).unwrap();
         assert_eq!(out_ast, out_nat, "outcome for {}", rule.name);
         assert_eq!(out_vm, out_nat, "outcome vm/native for {}", rule.name);
         assert_eq!(cost_ast, cost_nat, "body cost for {}", rule.name);
@@ -1957,9 +2199,9 @@ mod tests {
     fn assert_inplace_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
         let plan = compile_rule(rule, CompileOpts::default());
         assert_eq!(plan.mode, ExecMode::InPlace, "{} must lift", rule.name);
-        let native = compile_plan(&plan, design);
-        let cb = native.body.as_ref().expect("body compiles natively");
-        let prog = plan.body_prog.as_ref().expect("body compiles to Prog");
+        let cb = compile_action(&plan.body).expect("body compiles natively");
+        let fb = compile_plan(&plan, design).body.expect("body word-lowers");
+        let prog = crate::xform::compile_action(&plan.body).expect("body compiles to Prog");
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
         let mut s_vm = s_ast.clone();
@@ -1970,10 +2212,10 @@ mod tests {
         let mut vm = Vm::new();
         let mut frame = NativeFrame::new();
         let c_ast = run_rule_inplace(&mut s_ast, &plan.body).unwrap();
-        let c_vm = run_rule_inplace_compiled(&mut vm, &mut s_vm, prog).unwrap();
-        let c_nat = run_rule_inplace_native(&mut frame, &mut s_nat, cb).unwrap();
+        let c_vm = run_rule_inplace_compiled(&mut vm, &mut s_vm, &prog).unwrap();
+        let c_nat = run_rule_inplace_native(&mut frame, &mut s_nat, &cb).unwrap();
         let c_fla = run_rule_inplace(&mut s_fla, &plan.body).unwrap();
-        let c_fln = run_rule_inplace_native(&mut frame, &mut s_fln, cb).unwrap();
+        let c_fln = run_rule_inplace_native(&mut frame, &mut s_fln, &fb).unwrap();
         assert_eq!(c_ast, c_nat, "in-place cost for {}", rule.name);
         assert_eq!(c_vm, c_nat, "in-place cost vm/native for {}", rule.name);
         assert_eq!(s_ast, s_nat, "in-place state for {}", rule.name);
@@ -2172,6 +2414,97 @@ mod tests {
         // The lifter turns this into a plain conditional, which the
         // native backend executes in place.
         assert_inplace_parity(&lg, &d, |_| {});
+    }
+
+    /// A lowering that meets a store of the other kind falls back to the
+    /// AST interpreter: verdicts, costs and state match the interpreter
+    /// on that store, and the raw native entry points refuse the pair.
+    #[test]
+    fn mismatched_store_falls_back_to_interpreter() {
+        let d = d_word();
+        // Guard: rf.sub(a) > 0 && f.notEmpty. Body: n63 := rf.sub(a) + 1;
+        // a := a + 1 (in place once lifted).
+        let sub_a = Expr::Call(Target::Prim(RF, PrimMethod::Sub), vec![rd(A)]);
+        let rule = RuleDef {
+            name: "mix".into(),
+            body: Action::When(
+                Box::new(Expr::Bin(
+                    BinOp::Ge,
+                    Box::new(sub_a.clone()),
+                    Box::new(Expr::int(63, 0)),
+                )),
+                Box::new(Action::Seq(
+                    Box::new(wr(
+                        N63,
+                        Expr::Bin(BinOp::Add, Box::new(sub_a), Box::new(Expr::int(63, 1))),
+                    )),
+                    Box::new(wr(
+                        A,
+                        Expr::Bin(BinOp::Add, Box::new(rd(A)), Box::new(Expr::int(32, 1))),
+                    )),
+                )),
+            ),
+        };
+        let plan = compile_rule(&rule, CompileOpts::default());
+        let g = plan.guard.as_ref().expect("guard lifted");
+        let setup = |s: &mut Store| {
+            s.call_action_at(RF, PrimMethod::Upd, &[Value::int(32, 0), Value::int(63, 4)])
+                .unwrap();
+        };
+        for flat_lowering in [true, false] {
+            let native = if flat_lowering {
+                compile_plan(&plan, &d)
+            } else {
+                compile_plan_with(&plan, None)
+            };
+            // The store of the other kind, and an interpreter twin.
+            let mut s_nat = Store::new_like(&d, !flat_lowering);
+            setup(&mut s_nat);
+            let mut s_ast = s_nat.clone();
+            let mut frame = NativeFrame::new();
+            let cg = native.guard.as_ref().expect("guard lowers");
+            let cb = native.body.as_ref().expect("body lowers");
+            assert!(!cg.fits(&s_nat) && !cb.fits(&s_nat));
+            assert!(eval_guard_native(&mut frame, &s_nat, cg, &mut Cost::default()).is_err());
+            assert!(run_rule_native(&mut frame, &mut s_nat, cb, ShadowPolicy::Partial).is_err());
+            assert!(run_rule_inplace_native(&mut frame, &mut s_nat, cb).is_err());
+            assert_eq!(s_nat, s_ast, "refused runs leave the store alone");
+
+            let (mut g_nat, mut g_ast) = (Cost::default(), Cost::default());
+            let v_nat = native
+                .eval_guard(&mut frame, &mut s_nat, g, &mut g_nat)
+                .unwrap();
+            let v_ast = eval_guard_ro(&mut s_ast, g, &mut g_ast).unwrap();
+            assert!(v_nat);
+            assert_eq!(
+                (v_nat, g_nat),
+                (v_ast, g_ast),
+                "guard, flat={flat_lowering}"
+            );
+            let r_nat = native
+                .run(&mut frame, &mut s_nat, &plan.body, ShadowPolicy::Partial)
+                .unwrap();
+            let r_ast = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
+            assert_eq!(r_nat, r_ast, "transactional body, flat={flat_lowering}");
+            assert_eq!(s_nat, s_ast, "state after body, flat={flat_lowering}");
+            let c_nat = native
+                .run_inplace(&mut frame, &mut s_nat, &plan.body)
+                .unwrap();
+            let c_ast = run_rule_inplace(&mut s_ast, &plan.body).unwrap();
+            assert_eq!(c_nat, c_ast, "in-place body, flat={flat_lowering}");
+            assert_eq!(s_nat, s_ast, "state after in-place, flat={flat_lowering}");
+
+            // On the matching store the same rule runs natively, with
+            // the same verdict and costs.
+            let mut s_fit = Store::new_like(&d, flat_lowering);
+            setup(&mut s_fit);
+            let mut c_fit = Cost::default();
+            assert!(cg.fits(&s_fit) && cb.fits(&s_fit));
+            let v_fit = eval_guard_native(&mut frame, &s_fit, cg, &mut c_fit).unwrap();
+            assert_eq!((v_fit, c_fit), (v_ast, g_ast));
+            let r_fit = run_rule_native(&mut frame, &mut s_fit, cb, ShadowPolicy::Partial).unwrap();
+            assert_eq!(r_fit, r_ast);
+        }
     }
 
     #[test]
@@ -2397,7 +2730,7 @@ mod tests {
             Target::Prim(RF, PrimMethod::Upd),
             vec![Expr::int(32, 9), Expr::int(63, 1)],
         );
-        let cb = compile_action_flat(&body, &prim_infos(&d)).expect("compiles");
+        let cb = lower_body(&body, Some(&prim_infos(&d))).expect("compiles");
         let mut frame = NativeFrame::new();
         let mut s_flat = Store::new_flat(&d);
         let err_flat =
@@ -2410,7 +2743,7 @@ mod tests {
             Target::Prim(RF, PrimMethod::Upd),
             vec![Expr::int(32, -1), Expr::int(63, 1)],
         );
-        let cb = compile_action_flat(&neg, &prim_infos(&d)).expect("compiles");
+        let cb = lower_body(&neg, Some(&prim_infos(&d))).expect("compiles");
         let err_flat =
             run_rule_native(&mut frame, &mut s_flat, &cb, ShadowPolicy::Partial).unwrap_err();
         let err_tree = run_rule(&mut s_tree, &neg, ShadowPolicy::Partial).unwrap_err();
@@ -2431,10 +2764,9 @@ mod tests {
                 Box::new(Expr::int(32, 0)),
             )),
         );
-        let cg = compile_expr_flat(&g, &prim_infos(&d)).expect("compiles");
-        let fx = cg.flat.as_ref().expect("flat variant present");
+        let cg = lower_guard(&g, Some(&prim_infos(&d))).expect("compiles");
         assert!(
-            matches!(fx.eval, FlatEval::Word(_)),
+            matches!(cg.eval, GuardEval::Word(_)),
             "guard should lower to the bare-word form"
         );
         // And it evaluates with interpreter-identical cost and verdict.

@@ -10,15 +10,13 @@
 //! a multiplexed register update is exactly what the transaction commit
 //! does, at zero modeled cost.
 
+use super::Executor;
 use crate::analysis::{ConflictInfo, Sensitivity};
 use crate::ast::{Action, PrimId};
 use crate::codec::{self, ByteReader, ByteWriter, CodecResult};
-use crate::compile::{self, eval_guard_native, run_rule_native, NativeFrame, NativeRule};
 use crate::design::Design;
 use crate::error::{ElabError, ExecResult};
-use crate::exec::{
-    eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, RuleOutcome, Vm,
-};
+use crate::exec::RuleOutcome;
 use crate::store::{Cost, ShadowPolicy, Store, StoreSnapshot};
 use crate::xform::{compile_design, CompileOpts, RulePlan};
 
@@ -134,6 +132,32 @@ impl HwSnapshot {
     }
 }
 
+/// How a [`HwSim`] schedules and executes its rules. Fixed at
+/// construction, which builds only the executable form it selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HwOptions {
+    /// Event-driven scheduling: cache guard verdicts and re-evaluate only
+    /// rules whose read set intersects the prims written since the last
+    /// evaluation. `false` falls back to the naive evaluate-everything
+    /// reference mode (identical observable behavior, used as a test
+    /// oracle and benchmark baseline).
+    pub event_driven: bool,
+    /// Execute guards and bodies through the closure-threaded native
+    /// backend ([`crate::compile`]) instead of the stack-machine
+    /// [`Vm`](crate::exec::Vm). Observable behavior (firings, cycles,
+    /// state) is bit-identical; only wall-clock time changes.
+    pub compiled: bool,
+}
+
+impl Default for HwOptions {
+    fn default() -> HwOptions {
+        HwOptions {
+            event_driven: true,
+            compiled: false,
+        }
+    }
+}
+
 /// Cycle-accurate simulator of one (hardware) partition.
 #[derive(Debug)]
 pub struct HwSim {
@@ -144,29 +168,18 @@ pub struct HwSim {
     pub store: Store,
     /// Clock cycles elapsed.
     pub cycles: u64,
-    /// Event-driven scheduling: cache guard verdicts and re-evaluate only
-    /// rules whose read set intersects the prims written since the last
-    /// evaluation. `false` falls back to the naive evaluate-everything
-    /// reference mode (identical observable behavior, used as a test
-    /// oracle and benchmark baseline).
-    pub event_driven: bool,
-    /// Execute guards and bodies through the closure-threaded native
-    /// backend ([`crate::compile`]) instead of the stack-machine [`Vm`].
-    /// Observable behavior (firings, cycles, state) is bit-identical;
-    /// only wall-clock time changes. Set after construction, like
-    /// `event_driven`.
-    pub compiled: bool,
+    opts: HwOptions,
     fired: Vec<u64>,
     total_fired: u64,
     peak: usize,
     scratch_ready: Vec<bool>,
+    /// WILL_FIRE scratch, reused every cycle.
+    selected: Vec<usize>,
     verdicts: Vec<Option<bool>>,
     dirty_scratch: Vec<PrimId>,
-    vm: Vm,
     guard_evals: u64,
     guard_evals_skipped: u64,
-    natives: Vec<NativeRule>,
-    frame: NativeFrame,
+    exec: Executor,
 }
 
 impl HwSim {
@@ -179,12 +192,27 @@ impl HwSim {
         HwSim::with_store(design, Store::new(design))
     }
 
-    /// Builds a simulator over an existing store.
+    /// Builds a simulator over an existing store, with the default
+    /// [`HwOptions`] (event-driven, stack machine).
     ///
     /// # Errors
     ///
     /// Fails [`hw_check`] for software-only constructs.
     pub fn with_store(design: &Design, store: Store) -> Result<HwSim, ElabError> {
+        HwSim::with_options(design, store, HwOptions::default())
+    }
+
+    /// Builds a simulator over an existing store, scheduling and
+    /// executing as `opts` selects.
+    ///
+    /// # Errors
+    ///
+    /// Fails [`hw_check`] for software-only constructs.
+    pub fn with_options(
+        design: &Design,
+        store: Store,
+        opts: HwOptions,
+    ) -> Result<HwSim, ElabError> {
         hw_check(design)?;
         // Always lift in hardware: guards become the rule's CAN_FIRE
         // signal. Never sequentialize: parallel composition is free.
@@ -197,29 +225,30 @@ impl HwSim {
         );
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        // Lowering is a cheap one-time pass; build the native rules
-        // unconditionally so `compiled` can be flipped after construction.
-        let natives = compile::compile_plans(&plans, design);
+        let exec = Executor::new(&plans, design, &store, opts.event_driven, opts.compiled);
         Ok(HwSim {
             plans,
             conflicts: ConflictInfo::of_design(design),
             sens,
             store,
             cycles: 0,
-            event_driven: true,
-            compiled: false,
+            opts,
             fired: vec![0; n],
             total_fired: 0,
             peak: 0,
             scratch_ready: vec![false; n],
+            selected: Vec::new(),
             verdicts: vec![None; n],
             dirty_scratch: Vec::new(),
-            vm: Vm::default(),
             guard_evals: 0,
             guard_evals_skipped: 0,
-            natives,
-            frame: NativeFrame::new(),
+            exec,
         })
+    }
+
+    /// The scheduling and execution options this simulator was built with.
+    pub fn options(&self) -> HwOptions {
+        self.opts
     }
 
     /// The number of rules.
@@ -235,7 +264,7 @@ impl HwSim {
     pub fn step(&mut self) -> ExecResult<usize> {
         let n = self.plans.len();
         let mut ignored = Cost::default();
-        if self.event_driven {
+        if self.opts.event_driven {
             // Invalidate cached verdicts of rules that read a prim written
             // since their last evaluation.
             self.store.drain_sched_dirty(&mut self.dirty_scratch);
@@ -244,8 +273,8 @@ impl HwSim {
                     self.verdicts[r] = None;
                 }
             }
-            // CAN_FIRE: cached verdict where still valid, fresh (compiled)
-            // evaluation otherwise.
+            // CAN_FIRE: cached verdict where still valid, fresh evaluation
+            // otherwise.
             for i in 0..n {
                 self.scratch_ready[i] = match &self.plans[i].guard {
                     None => true,
@@ -254,27 +283,7 @@ impl HwSim {
                             self.guard_evals_skipped += 1;
                             v
                         } else {
-                            let v = if self.compiled {
-                                match &self.natives[i].guard {
-                                    Some(cg) => eval_guard_native(
-                                        &mut self.frame,
-                                        &self.store,
-                                        cg,
-                                        &mut ignored,
-                                    )?,
-                                    None => eval_guard_ro(&mut self.store, g, &mut ignored)?,
-                                }
-                            } else {
-                                match &self.plans[i].guard_prog {
-                                    Some(p) => eval_guard_compiled(
-                                        &mut self.vm,
-                                        &self.store,
-                                        p,
-                                        &mut ignored,
-                                    )?,
-                                    None => eval_guard_ro(&mut self.store, g, &mut ignored)?,
-                                }
-                            };
+                            let v = self.exec.eval_guard(i, &mut self.store, g, &mut ignored)?;
                             self.guard_evals += 1;
                             self.verdicts[i] = Some(v);
                             v
@@ -289,19 +298,7 @@ impl HwSim {
                 self.scratch_ready[i] = match &self.plans[i].guard {
                     Some(g) => {
                         self.guard_evals += 1;
-                        if self.compiled {
-                            match &self.natives[i].guard {
-                                Some(cg) => eval_guard_native(
-                                    &mut self.frame,
-                                    &self.store,
-                                    cg,
-                                    &mut ignored,
-                                )?,
-                                None => eval_guard_ro(&mut self.store, g, &mut ignored)?,
-                            }
-                        } else {
-                            eval_guard_ro(&mut self.store, g, &mut ignored)?
-                        }
+                        self.exec.eval_guard(i, &mut self.store, g, &mut ignored)?
                     }
                     None => true,
                 };
@@ -309,7 +306,8 @@ impl HwSim {
         }
         // WILL_FIRE: greedy maximal conflict-free subset in urgency
         // (definition) order.
-        let mut selected: Vec<usize> = Vec::new();
+        let mut selected = std::mem::take(&mut self.selected);
+        selected.clear();
         for i in 0..n {
             if self.scratch_ready[i] && selected.iter().all(|&j| !self.conflicts.conflicts(i, j)) {
                 selected.push(i);
@@ -320,25 +318,12 @@ impl HwSim {
         // wires (zero software cost — we discard the counters).
         let mut fired_now = 0;
         for &i in &selected {
-            let plan = &self.plans[i];
-            let (out, _c) = if self.compiled {
-                match &self.natives[i].body {
-                    Some(cb) => run_rule_native(
-                        &mut self.frame,
-                        &mut self.store,
-                        cb,
-                        ShadowPolicy::Partial,
-                    )?,
-                    None => run_rule(&mut self.store, &plan.body, ShadowPolicy::Partial)?,
-                }
-            } else {
-                match (&plan.body_prog, self.event_driven) {
-                    (Some(p), true) => {
-                        run_rule_compiled(&mut self.vm, &mut self.store, p, ShadowPolicy::Partial)?
-                    }
-                    _ => run_rule(&mut self.store, &plan.body, ShadowPolicy::Partial)?,
-                }
-            };
+            let (out, _c) = self.exec.run(
+                i,
+                &mut self.store,
+                &self.plans[i].body,
+                ShadowPolicy::Partial,
+            )?;
             if out == RuleOutcome::Fired {
                 self.fired[i] += 1;
                 self.total_fired += 1;
@@ -348,6 +333,7 @@ impl HwSim {
             // fully analyze) simply means the rule does not fire this
             // cycle — same as CAN_FIRE low.
         }
+        self.selected = selected;
         self.cycles += 1;
         self.peak = self.peak.max(fired_now);
         Ok(fired_now)
@@ -541,9 +527,11 @@ mod tests {
                 for i in 0..20 {
                     store.push_source(PrimId(0), Value::int(32, i));
                 }
-                let mut sim = HwSim::with_store(&d, store).unwrap();
-                sim.event_driven = event_driven;
-                sim.compiled = compiled;
+                let opts = HwOptions {
+                    event_driven,
+                    compiled,
+                };
+                let mut sim = HwSim::with_options(&d, store, opts).unwrap();
                 sim.run_until_quiescent(1000).unwrap();
                 runs.push((sim.store.sink_values(PrimId(3)).to_vec(), sim.report()));
             }

@@ -12,10 +12,111 @@
 mod hw;
 mod sw;
 
-pub use hw::{hw_check, HwReport, HwSim, HwSnapshot};
+pub use hw::{hw_check, HwOptions, HwReport, HwSim, HwSnapshot};
 pub use sw::{ExecBackend, Strategy, SwOptions, SwReport, SwRunner, SwSnapshot};
 
-use crate::store::Cost;
+use crate::ast::{Action, Expr};
+use crate::compile::{compile_plans_for, NativeFrame, NativeRule};
+use crate::design::Design;
+use crate::error::ExecResult;
+use crate::exec::{
+    eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, run_rule_inplace,
+    run_rule_inplace_compiled, RuleOutcome, Vm,
+};
+use crate::store::{Cost, ShadowPolicy, Store};
+use crate::xform::{RulePlan, RuleProgs};
+
+/// The one executable form a scheduler runs its rules through, chosen
+/// and built at construction: no other form is lowered. Every executor
+/// is bit- and cycle-identical in verdicts, state and metered costs (the
+/// fuzz farm proves it); only wall-clock time differs.
+#[derive(Debug)]
+enum Executor {
+    /// The AST interpreter alone: the naive reference mode.
+    Interp,
+    /// The stack-machine [`Vm`], one program pair per rule.
+    Vm { vm: Vm, progs: Vec<RuleProgs> },
+    /// Closure-threaded native rules, lowered for the store kind the
+    /// scheduler was built over ([`compile_plans_for`]).
+    Native {
+        frame: NativeFrame,
+        natives: Vec<NativeRule>,
+    },
+}
+
+impl Executor {
+    /// `compiled` selects native rules; otherwise event-driven
+    /// scheduling runs the Vm and the naive mode the interpreter.
+    fn new(
+        plans: &[RulePlan],
+        design: &Design,
+        store: &Store,
+        event_driven: bool,
+        compiled: bool,
+    ) -> Executor {
+        if compiled {
+            Executor::Native {
+                frame: NativeFrame::new(),
+                natives: compile_plans_for(plans, design, store),
+            }
+        } else if event_driven {
+            Executor::Vm {
+                vm: Vm::default(),
+                progs: plans.iter().map(RuleProgs::of).collect(),
+            }
+        } else {
+            Executor::Interp
+        }
+    }
+
+    /// Evaluates rule `i`'s lifted guard `g` against the committed store.
+    fn eval_guard(
+        &mut self,
+        i: usize,
+        store: &mut Store,
+        g: &Expr,
+        cost: &mut Cost,
+    ) -> ExecResult<bool> {
+        match self {
+            Executor::Vm { vm, progs } => match &progs[i].guard {
+                Some(p) => eval_guard_compiled(vm, store, p, cost),
+                None => eval_guard_ro(store, g, cost),
+            },
+            Executor::Native { frame, natives } => natives[i].eval_guard(frame, store, g, cost),
+            Executor::Interp => eval_guard_ro(store, g, cost),
+        }
+    }
+
+    /// Executes rule `i`'s body as a transaction.
+    fn run(
+        &mut self,
+        i: usize,
+        store: &mut Store,
+        body: &Action,
+        policy: ShadowPolicy,
+    ) -> ExecResult<(RuleOutcome, Cost)> {
+        match self {
+            Executor::Vm { vm, progs } => match &progs[i].body {
+                Some(p) => run_rule_compiled(vm, store, p, policy),
+                None => run_rule(store, body, policy),
+            },
+            Executor::Native { frame, natives } => natives[i].run(frame, store, body, policy),
+            Executor::Interp => run_rule(store, body, policy),
+        }
+    }
+
+    /// Executes rule `i`'s fully guard-lifted body in place.
+    fn run_inplace(&mut self, i: usize, store: &mut Store, body: &Action) -> ExecResult<Cost> {
+        match self {
+            Executor::Vm { vm, progs } => match &progs[i].body {
+                Some(p) => run_rule_inplace_compiled(vm, store, p),
+                None => run_rule_inplace(store, body),
+            },
+            Executor::Native { frame, natives } => natives[i].run_inplace(frame, store, body),
+            Executor::Interp => run_rule_inplace(store, body),
+        }
+    }
+}
 
 /// Converts the abstract cost counters of rule execution into CPU cycles.
 ///

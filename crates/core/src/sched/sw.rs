@@ -7,19 +7,13 @@
 //! through the [`CostModel`] so the runner can report "CPU cycles", which
 //! is what stands in for wall-clock time of the generated C++.
 
-use super::CostModel;
+use super::{CostModel, Executor};
 use crate::analysis::{successors, Sensitivity};
 use crate::ast::PrimId;
 use crate::codec::{self, ByteReader, ByteWriter, CodecResult};
-use crate::compile::{
-    self, eval_guard_native, run_rule_inplace_native, run_rule_native, NativeFrame, NativeRule,
-};
 use crate::design::Design;
 use crate::error::ExecResult;
-use crate::exec::{
-    eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, run_rule_inplace,
-    run_rule_inplace_compiled, RuleOutcome, Vm,
-};
+use crate::exec::RuleOutcome;
 use crate::store::{Cost, ShadowPolicy, Store, StoreSnapshot};
 use crate::xform::{compile_design, CompileOpts, ExecMode, RulePlan};
 use std::collections::VecDeque;
@@ -51,11 +45,11 @@ pub enum ExecBackend {
     /// Naive reference scheduler (every guard re-evaluated every step)
     /// on the tree store.
     Naive,
-    /// Event-driven scheduler driving the stack-machine [`Vm`] on the
-    /// tree store.
+    /// Event-driven scheduler driving the stack-machine
+    /// [`Vm`](crate::exec::Vm) on the tree store.
     Event,
-    /// Event-driven scheduler driving the [`Vm`] on the bit-packed flat
-    /// arena store.
+    /// Event-driven scheduler driving the [`Vm`](crate::exec::Vm) on the
+    /// bit-packed flat arena store.
     Flat,
     /// Event-driven scheduler driving closure-threaded native rules
     /// ([`crate::compile`]) on the flat arena store.
@@ -103,10 +97,10 @@ pub struct SwOptions {
     /// the fuzz farm proves it — only wall-clock time changes.
     pub flat: bool,
     /// Execute rules through the closure-threaded native backend
-    /// ([`crate::compile`]) instead of the stack-machine [`Vm`]. Metered
-    /// costs, verdicts, and error texts are bit-identical to both
-    /// interpreters (the fuzz farm's sixth leg proves it); only
-    /// wall-clock time changes.
+    /// ([`crate::compile`]) instead of the stack-machine
+    /// [`Vm`](crate::exec::Vm). Metered costs, verdicts, and error texts
+    /// are bit-identical to both interpreters (the fuzz farm's sixth leg
+    /// proves it); only wall-clock time changes.
     pub compiled: bool,
 }
 
@@ -228,9 +222,7 @@ pub struct SwRunner {
     /// since the last evaluation.
     verdicts: Vec<Option<(bool, Cost)>>,
     dirty_scratch: Vec<PrimId>,
-    vm: Vm,
-    natives: Vec<NativeRule>,
-    frame: NativeFrame,
+    exec: Executor,
 }
 
 impl SwRunner {
@@ -244,11 +236,7 @@ impl SwRunner {
         let plans = compile_design(design, opts.compile);
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        let natives = if opts.compiled {
-            compile::compile_plans(&plans, design)
-        } else {
-            Vec::new()
-        };
+        let exec = Executor::new(&plans, design, &store, opts.event_driven, opts.compiled);
         SwRunner {
             plans,
             succ: successors(design),
@@ -263,9 +251,7 @@ impl SwRunner {
             chain: VecDeque::new(),
             verdicts: vec![None; n],
             dirty_scratch: Vec::new(),
-            vm: Vm::default(),
-            natives,
-            frame: NativeFrame::new(),
+            exec,
         }
     }
 
@@ -309,36 +295,14 @@ impl SwRunner {
                     v
                 } else {
                     let mut delta = Cost::default();
-                    let v = if self.opts.compiled {
-                        match &self.natives[i].guard {
-                            Some(cg) => {
-                                eval_guard_native(&mut self.frame, &self.store, cg, &mut delta)?
-                            }
-                            None => eval_guard_ro(&mut self.store, g, &mut delta)?,
-                        }
-                    } else {
-                        match &plan.guard_prog {
-                            Some(p) => {
-                                eval_guard_compiled(&mut self.vm, &self.store, p, &mut delta)?
-                            }
-                            None => eval_guard_ro(&mut self.store, g, &mut delta)?,
-                        }
-                    };
+                    let v = self.exec.eval_guard(i, &mut self.store, g, &mut delta)?;
                     self.cost.add(&delta);
                     self.verdicts[i] = Some((v, delta));
                     v
                 }
-            } else if self.opts.compiled {
-                // Naive mode still runs compiled guards natively — cost
-                // parity with `eval_guard_ro` is proven per-node.
-                match &self.natives[i].guard {
-                    Some(cg) => {
-                        eval_guard_native(&mut self.frame, &self.store, cg, &mut self.cost)?
-                    }
-                    None => eval_guard_ro(&mut self.store, g, &mut self.cost)?,
-                }
             } else {
-                eval_guard_ro(&mut self.store, g, &mut self.cost)?
+                self.exec
+                    .eval_guard(i, &mut self.store, g, &mut self.cost)?
             };
             if !ok {
                 self.failed[i] += 1;
@@ -347,38 +311,14 @@ impl SwRunner {
         }
         let fired = match plan.mode {
             ExecMode::InPlace => {
-                let c = if self.opts.compiled {
-                    match &self.natives[i].body {
-                        Some(cb) => run_rule_inplace_native(&mut self.frame, &mut self.store, cb)?,
-                        None => run_rule_inplace(&mut self.store, &plan.body)?,
-                    }
-                } else {
-                    match (&plan.body_prog, self.opts.event_driven) {
-                        (Some(p), true) => {
-                            run_rule_inplace_compiled(&mut self.vm, &mut self.store, p)?
-                        }
-                        _ => run_rule_inplace(&mut self.store, &plan.body)?,
-                    }
-                };
+                let c = self.exec.run_inplace(i, &mut self.store, &plan.body)?;
                 self.cost.add(&c);
                 true
             }
             ExecMode::Transactional => {
-                let (out, c) = if self.opts.compiled {
-                    match &self.natives[i].body {
-                        Some(cb) => {
-                            run_rule_native(&mut self.frame, &mut self.store, cb, self.opts.shadow)?
-                        }
-                        None => run_rule(&mut self.store, &plan.body, self.opts.shadow)?,
-                    }
-                } else {
-                    match (&plan.body_prog, self.opts.event_driven) {
-                        (Some(p), true) => {
-                            run_rule_compiled(&mut self.vm, &mut self.store, p, self.opts.shadow)?
-                        }
-                        _ => run_rule(&mut self.store, &plan.body, self.opts.shadow)?,
-                    }
-                };
+                let (out, c) = self
+                    .exec
+                    .run(i, &mut self.store, &plan.body, self.opts.shadow)?;
                 self.cost.add(&c);
                 out == RuleOutcome::Fired
             }

@@ -43,13 +43,30 @@ pub struct RulePlan {
     pub mode: ExecMode,
     /// True if guards may still fail inside `body`.
     pub residual: bool,
-    /// `guard` compiled to a stack-machine program (`None` when there is
-    /// no guard or it references unelaborated names).
-    pub guard_prog: Option<Prog>,
-    /// `body` compiled to a stack-machine program (`None` when the body
-    /// needs constructs the machine does not model — parallel
-    /// composition, `localGuard` — and falls back to the interpreter).
-    pub body_prog: Option<Prog>,
+}
+
+/// A plan's guard and body compiled to stack-machine programs. Only the
+/// Vm executor builds these ([`RuleProgs::of`]); the native and
+/// interpreter executors never pay for them.
+#[derive(Debug, Clone, Default)]
+pub struct RuleProgs {
+    /// The lifted guard's program (`None` when there is no guard or it
+    /// references unelaborated names).
+    pub guard: Option<Prog>,
+    /// The body's program (`None` when the body needs constructs the
+    /// machine does not model — `localGuard`, unelaborated names — and
+    /// falls back to the interpreter).
+    pub body: Option<Prog>,
+}
+
+impl RuleProgs {
+    /// Compiles a plan's guard and body.
+    pub fn of(plan: &RulePlan) -> RuleProgs {
+        RuleProgs {
+            guard: plan.guard.as_ref().and_then(compile_expr),
+            body: compile_action(&plan.body),
+        }
+    }
 }
 
 /// Options controlling rule compilation — each §6.3 optimization can be
@@ -808,15 +825,12 @@ pub fn compile_action(a: &Action) -> Option<Prog> {
 /// Compiles a rule into an executable plan under the given options.
 pub fn compile_rule(rule: &RuleDef, opts: CompileOpts) -> RulePlan {
     if !opts.lift {
-        let body_prog = compile_action(&rule.body);
         return RulePlan {
             name: rule.name.clone(),
             guard: None,
             body: rule.body.clone(),
             mode: ExecMode::Transactional,
             residual: true,
-            guard_prog: None,
-            body_prog,
         };
     }
     let body = if opts.sequentialize {
@@ -830,8 +844,6 @@ pub fn compile_rule(rule: &RuleDef, opts: CompileOpts) -> RulePlan {
     } else {
         ExecMode::Transactional
     };
-    let guard_prog = lifted.guard.as_ref().and_then(compile_expr);
-    let body_prog = compile_action(&lifted.body);
     // On the transactional path the residual body must retain *all* guard
     // semantics; the lifted guard still serves as a cheap pre-check, and
     // since lifting removed those whens from the body, executing
@@ -842,8 +854,6 @@ pub fn compile_rule(rule: &RuleDef, opts: CompileOpts) -> RulePlan {
         body: lifted.body,
         mode,
         residual: lifted.residual,
-        guard_prog,
-        body_prog,
     }
 }
 
@@ -1162,18 +1172,18 @@ mod tests {
         let mut s_vm = s_ast.clone();
         let mut vm = Vm::new();
         if let Some(g) = &plan.guard {
-            let prog = plan.guard_prog.as_ref().expect("guard compiles");
+            let prog = compile_expr(g).expect("guard compiles");
             let mut c_ast = Cost::default();
             let mut c_vm = Cost::default();
             let v_ast = eval_guard_ro(&mut s_ast, g, &mut c_ast).unwrap();
-            let v_vm = eval_guard_compiled(&mut vm, &s_vm, prog, &mut c_vm).unwrap();
+            let v_vm = eval_guard_compiled(&mut vm, &s_vm, &prog, &mut c_vm).unwrap();
             assert_eq!(v_ast, v_vm, "guard verdict for {}", rule.name);
             assert_eq!(c_ast, c_vm, "guard cost for {}", rule.name);
         }
-        let prog = plan.body_prog.as_ref().expect("body compiles");
+        let prog = compile_action(&plan.body).expect("body compiles");
         let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
         let (out_vm, cost_vm) =
-            run_rule_compiled(&mut vm, &mut s_vm, prog, ShadowPolicy::Partial).unwrap();
+            run_rule_compiled(&mut vm, &mut s_vm, &prog, ShadowPolicy::Partial).unwrap();
         assert_eq!(out_ast, out_vm, "outcome for {}", rule.name);
         assert_eq!(cost_ast, cost_vm, "body cost for {}", rule.name);
         assert_eq!(s_ast, s_vm, "state for {}", rule.name);
@@ -1309,7 +1319,7 @@ mod tests {
         };
         let plan = compile_rule(&swap, CompileOpts::default());
         assert!(matches!(plan.body, Action::Par(..)));
-        let prog = plan.body_prog.as_ref().expect("Par compiles");
+        let prog = compile_action(&plan.body).expect("Par compiles");
         assert!(prog.code.contains(&Instr::ParStart));
         assert!(prog.code.contains(&Instr::ParMid));
         assert!(prog.code.contains(&Instr::ParEnd));

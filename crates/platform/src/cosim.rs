@@ -37,9 +37,11 @@ use bcl_core::design::{Design, PrimDef};
 use bcl_core::error::{ExecError, ExecResult};
 use bcl_core::partition::{fuse_domains, split_domain, ChannelSpec, Partitioned};
 use bcl_core::prim::{PrimSpec, PrimState};
-use bcl_core::sched::{HwSim, HwSnapshot, SwOptions, SwRunner, SwSnapshot};
+use bcl_core::sched::{HwOptions, HwSim, HwSnapshot, SwOptions, SwRunner, SwSnapshot};
 use bcl_core::store::{Store, StoreSnapshot};
 use bcl_core::value::Value;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// How a co-simulation ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,12 +184,12 @@ pub struct HwPartitionCfg {
     /// pumping is unaffected — the link interface runs at bus speed.
     pub clock_div: u64,
     /// Event-driven guard scheduling for this partition's simulator
-    /// (see [`HwSim::event_driven`]); `false` selects the naive
+    /// (see [`HwOptions::event_driven`]); `false` selects the naive
     /// evaluate-every-guard reference mode. Cycle counts are identical
     /// either way; only simulator wall-clock time differs.
     pub event_driven: bool,
     /// Closure-threaded native execution for this partition's simulator
-    /// (see [`HwSim::compiled`]). Firings, cycle counts, and state are
+    /// (see [`HwOptions::compiled`]). Firings, cycle counts, and state are
     /// bit-identical either way; only simulator wall-clock time differs.
     pub compiled: bool,
 }
@@ -236,6 +238,13 @@ impl HwPartitionCfg {
     pub fn with_compiled(mut self, on: bool) -> HwPartitionCfg {
         self.compiled = on;
         self
+    }
+
+    fn hw_options(&self) -> HwOptions {
+        HwOptions {
+            event_driven: self.event_driven,
+            compiled: self.compiled,
+        }
     }
 }
 
@@ -312,8 +321,7 @@ struct SwOwned {
     link_cfg: LinkConfig,
     faults: FaultConfig,
     clock_div: u64,
-    event_driven: bool,
-    compiled: bool,
+    hw_opts: HwOptions,
     fault_schedule: Vec<PartitionFault>,
     fault_fired: Vec<bool>,
 }
@@ -341,7 +349,9 @@ enum RouteKind {
 #[derive(Debug)]
 struct HwPart {
     domain: String,
-    design: Design,
+    /// The partitioning this partition's design was taken from, shared
+    /// rather than copied (see [`HwPart::design`]).
+    src: Arc<Partitioned>,
     hw: HwSim,
     /// Interface logic for this partition's CPU link; `None` when no
     /// channel touches this partition's link.
@@ -364,6 +374,19 @@ struct HwPart {
     /// [`PartitionLifecycle::Reviving`] until the cycle its reloaded
     /// state has finished crossing the link.
     active_at: u64,
+}
+
+impl HwPart {
+    /// The design this partition executes.
+    fn design(&self) -> &Design {
+        part_design(&self.src, &self.domain)
+    }
+}
+
+/// A hardware partition's design within the partitioning it was built
+/// from (present by construction).
+fn part_design<'a>(src: &'a Partitioned, domain: &str) -> &'a Design {
+    &src.partitions[domain]
 }
 
 /// A dedicated link between two hardware partitions (Fabric routing).
@@ -684,7 +707,7 @@ impl SwOwned {
         self.link_cfg.encode(w);
         self.faults.encode(w);
         w.u64(self.clock_div);
-        w.bool(self.event_driven);
+        w.bool(self.hw_opts.event_driven);
         w.u64(self.fault_schedule.len() as u64);
         for f in &self.fault_schedule {
             f.encode(w);
@@ -714,12 +737,14 @@ impl SwOwned {
             link_cfg,
             faults,
             clock_div,
-            event_driven,
-            // Not persisted (would change the snapshot format for a
-            // wall-clock-only flag): a partition revived from a restored
-            // checkpoint runs the interpreter path, which is bit- and
-            // cycle-identical to native execution.
-            compiled: false,
+            hw_opts: HwOptions {
+                event_driven,
+                // Not persisted (would change the snapshot format for a
+                // wall-clock-only flag): a partition revived from a
+                // restored checkpoint runs the interpreter path, which is
+                // bit- and cycle-identical to native execution.
+                compiled: false,
+            },
             fault_schedule,
             fault_fired,
         })
@@ -858,13 +883,26 @@ impl ResumeContext {
 /// the partition order changes the fingerprint; failover and revive do
 /// *not* (they fold the same original partitioning), so a snapshot
 /// taken mid-recovery still matches the re-elaborated design.
+///
+/// The rendering is streamed into the hash rather than built as a
+/// string (it runs to megabytes for the application designs).
 fn design_fingerprint(sw_domain: &str, order: &[String], parts: &Partitioned) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{sw_domain:?}|{order:?}|{parts:?}").as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{sw_domain:?}|{order:?}|{parts:?}").expect("hashing cannot fail");
+    h.0
+}
+
+/// FNV-1a as a formatting sink: hashes whatever is written to it.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 /// A co-simulation of a partitioned design over N hardware partitions.
@@ -884,7 +922,7 @@ pub struct Cosim {
     routes: Vec<RouteKind>,
     /// The (un-augmented) partitioning currently executing; replaced by
     /// the fused partitioning when a partition fails over.
-    parts: Partitioned,
+    parts: Arc<Partitioned>,
     /// FPGA cycles elapsed.
     pub fpga_cycles: u64,
     /// Pending software work (driver transfers + rule overshoot) not yet
@@ -918,8 +956,9 @@ pub struct Cosim {
     /// order — the fold that `split_domain` replays to revive one.
     absorbed: Vec<String>,
     /// The partitioning as originally configured, before any failover
-    /// rewrote `parts`. The anchor for inverse splices.
-    orig_parts: Partitioned,
+    /// rewrote `parts` (shared with `parts` until then). The anchor for
+    /// inverse splices.
+    orig_parts: Arc<Partitioned>,
     /// The originally configured hardware domain order, for putting a
     /// revived partition back in its deterministic pump slot.
     orig_order: Vec<String>,
@@ -1210,29 +1249,31 @@ impl Cosim {
         let fingerprint = design_fingerprint(sw_domain, &domains, p);
         let topo = plan_topology(p, sw_domain, &domains, &routing)?;
         let sw = SwRunner::new(&topo.sw_design, sw_opts);
+        let shared = Arc::new(p.clone());
 
         let mut parts_list = Vec::with_capacity(active.len());
         for (cfg, specs) in active.iter().zip(&topo.part_specs) {
             let design = p
                 .partition(&cfg.domain)
-                .map_err(|e| PlatformError::new(e.to_string()))?
-                .clone();
-            let mut hw = HwSim::with_store(&design, Store::new_like(&design, sw_opts.flat))
                 .map_err(|e| PlatformError::new(e.to_string()))?;
-            hw.event_driven = cfg.event_driven;
-            hw.compiled = cfg.compiled;
+            let hw = HwSim::with_options(
+                design,
+                Store::new_like(design, sw_opts.flat),
+                cfg.hw_options(),
+            )
+            .map_err(|e| PlatformError::new(e.to_string()))?;
             let transactor = if specs.is_empty() {
                 None
             } else {
                 Some(
-                    Transactor::new(specs, sw_domain, &topo.sw_design, &cfg.domain, &design)
+                    Transactor::new(specs, sw_domain, &topo.sw_design, &cfg.domain, design)
                         .map_err(|e| PlatformError::new(e.to_string()))?,
                 )
             };
             let fault_schedule = cfg.faults.partition.clone();
             parts_list.push(HwPart {
                 domain: cfg.domain.clone(),
-                design,
+                src: Arc::clone(&shared),
                 hw,
                 transactor,
                 link: Link::with_faults(cfg.link, cfg.faults.clone()),
@@ -1255,9 +1296,9 @@ impl Cosim {
             let transactor = Transactor::new(
                 specs,
                 &parts_list[*a].domain,
-                &parts_list[*a].design,
+                parts_list[*a].design(),
                 &parts_list[*b].domain,
-                &parts_list[*b].design,
+                parts_list[*b].design(),
             )
             .map_err(|e| PlatformError::new(e.to_string()))?;
             fabric.push(FabricLink {
@@ -1276,7 +1317,7 @@ impl Cosim {
             parts_list,
             fabric,
             routes: topo.routes,
-            parts: p.clone(),
+            parts: Arc::clone(&shared),
             fpga_cycles: 0,
             sw_debt: 0,
             sw_domain: sw_domain.to_string(),
@@ -1289,7 +1330,7 @@ impl Cosim {
             revived: false,
             software_owned: Vec::new(),
             absorbed: Vec::new(),
-            orig_parts: p.clone(),
+            orig_parts: shared,
             orig_order: domains,
             policy: RecoveryPolicy::Fail,
             last_ckpt: None,
@@ -1352,7 +1393,7 @@ impl Cosim {
 
     /// The first hardware partition's design, if any.
     pub fn hw_design(&self) -> Option<&Design> {
-        self.parts_list.first().map(|p| &p.design)
+        self.parts_list.first().map(HwPart::design)
     }
 
     /// The software domain name.
@@ -1407,7 +1448,7 @@ impl Cosim {
             return Some((None, id));
         }
         for (i, p) in self.parts_list.iter().enumerate() {
-            if let Some(id) = p.design.prim_id(path) {
+            if let Some(id) = p.design().prim_id(path) {
                 return Some((Some(i), id));
             }
         }
@@ -1426,7 +1467,7 @@ impl Cosim {
             .locate(path)
             .ok_or_else(|| PlatformError::new(format!("no primitive `{path}` in any partition")))?;
         let design = match part {
-            Some(i) => &self.parts_list[i].design,
+            Some(i) => self.parts_list[i].design(),
             None => &self.sw_design,
         };
         let spec = &design.prim(id).spec;
@@ -1878,7 +1919,7 @@ impl Cosim {
                         &self.sw_domain,
                         &self.sw_design,
                         &part.domain,
-                        &part.design,
+                        part.design(),
                     )
                     .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?,
                 )
@@ -1898,9 +1939,9 @@ impl Cosim {
                 transactor: Transactor::new(
                     specs,
                     &self.parts_list[*a].domain,
-                    &self.parts_list[*a].design,
+                    self.parts_list[*a].design(),
                     &self.parts_list[*b].domain,
-                    &self.parts_list[*b].design,
+                    self.parts_list[*b].design(),
                 )
                 .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?,
                 link: Link::with_faults(link_cfg, link_faults),
@@ -1908,7 +1949,7 @@ impl Cosim {
                 last_progress_cycle: 0,
             });
         }
-        self.parts = fusion.parts;
+        self.parts = Arc::new(fusion.parts);
         self.routes = topo.routes;
         self.failed_over = true;
         Ok(())
@@ -1985,16 +2026,16 @@ impl Cosim {
             "software store",
         )?;
         for (i, (snap, part)) in ckpt.parts.iter().zip(&self.parts_list).enumerate() {
-            if snap.hw.rule_count() != part.design.rules.len() {
+            if snap.hw.rule_count() != part.design().rules.len() {
                 return Err(PersistError::TopologyMismatch(format!(
                     "partition {i} snapshot has {} rules, design has {}",
                     snap.hw.rule_count(),
-                    part.design.rules.len()
+                    part.design().rules.len()
                 )));
             }
             store_matches(
                 snap.hw.store(),
-                &part.design,
+                part.design(),
                 &part.hw.store,
                 "partition store",
             )?;
@@ -2115,8 +2156,7 @@ impl Cosim {
     fn apply_partition_fault(&mut self, pi: usize, fault: PartitionFault) -> ExecResult<()> {
         {
             let p = &mut self.parts_list[pi];
-            let design = p.design.clone();
-            p.hw.reset_state(&design);
+            p.hw.reset_state(part_design(&p.src, &p.domain));
             if let Some(t) = &mut p.transactor {
                 t.reset_transport();
             }
@@ -2180,7 +2220,7 @@ impl Cosim {
                 .iter()
                 .find(|p| p.domain == dom)
                 .expect("channel endpoint domain has a partition");
-            (&p.design, &p.hw.store)
+            (p.design(), &p.hw.store)
         }
     }
 
@@ -2310,8 +2350,7 @@ impl Cosim {
             link_cfg: *dead.link.config(),
             faults: dead.link.fault_config().clone(),
             clock_div: dead.clock_div,
-            event_driven: dead.hw.event_driven,
-            compiled: dead.hw.compiled,
+            hw_opts: dead.hw.options(),
             fault_schedule: dead.fault_schedule,
             fault_fired: dead.fault_fired,
         });
@@ -2331,7 +2370,7 @@ impl Cosim {
                         &self.sw_domain,
                         &self.sw_design,
                         &part.domain,
-                        &part.design,
+                        part.design(),
                     )
                     .map_err(|e| ExecError::Malformed(e.to_string()))?,
                 )
@@ -2353,9 +2392,9 @@ impl Cosim {
                 transactor: Transactor::new(
                     specs,
                     &self.parts_list[*a].domain,
-                    &self.parts_list[*a].design,
+                    self.parts_list[*a].design(),
                     &self.parts_list[*b].domain,
-                    &self.parts_list[*b].design,
+                    self.parts_list[*b].design(),
                 )
                 .map_err(|e| ExecError::Malformed(e.to_string()))?,
                 link: Link::with_faults(link_cfg, link_faults),
@@ -2388,7 +2427,10 @@ impl Cosim {
                     .iter_mut()
                     .find(|p| p.domain == spec.from_domain)
                     .expect("surviving tx partition");
-                let id = part.design.prim_id(&spec.tx_path).expect("tx half exists");
+                let id = part
+                    .design()
+                    .prim_id(&spec.tx_path)
+                    .expect("tx half exists");
                 (&mut part.hw.store, id)
             };
             let mut st = tx_store.get_state(tx_id);
@@ -2402,7 +2444,7 @@ impl Cosim {
 
         // 6. Adopt the fused partitioning and routes; a later fault on a
         //    surviving partition repeats the splice from here.
-        self.parts = fusion.parts;
+        self.parts = Arc::new(fusion.parts);
         self.routes = topo.routes;
         self.failed_over = true;
         if self.parts_list.is_empty() {
@@ -2480,13 +2522,12 @@ impl Cosim {
         //    owns is found under the same name; hub FIFOs start empty
         //    (their content rides in the backlog) and rehydrated channel
         //    halves are filled in step 5.
-        let revived_design = fission
-            .parts
+        let split = Arc::new(fission.parts);
+        let revived_design = split
             .partition(&dom)
-            .map_err(|e| ExecError::Malformed(e.to_string()))?
-            .clone();
+            .map_err(|e| ExecError::Malformed(e.to_string()))?;
         let flat = self.sw_opts.flat;
-        let mut hw_store = Store::new_like(&revived_design, flat);
+        let mut hw_store = Store::new_like(revived_design, flat);
         for (i, prim) in revived_design.prims.iter().enumerate() {
             if let Some(old) = self.sw_design.prim_id(&prim.path.0) {
                 hw_store.set_state(PrimId(i), self.sw.store.get_state(old));
@@ -2510,7 +2551,7 @@ impl Cosim {
         //    depth is safe on latency-insensitive edges: `enq` blocks
         //    until it drains).
         for &ci in &fission.rehydrated {
-            let spec = &fission.parts.channels[ci];
+            let spec = &split.channels[ci];
             let merged = self
                 .sw_design
                 .prim_id(&spec.name)
@@ -2529,11 +2570,11 @@ impl Cosim {
                 }
             };
             if spec.from_domain == dom {
-                fill(&revived_design, &mut hw_store, &spec.tx_path, tx_items);
+                fill(revived_design, &mut hw_store, &spec.tx_path, tx_items);
                 fill(&topo.sw_design, &mut sw_store, &spec.rx_path, items);
             } else {
                 fill(&topo.sw_design, &mut sw_store, &spec.tx_path, tx_items);
-                fill(&revived_design, &mut hw_store, &spec.rx_path, items);
+                fill(revived_design, &mut hw_store, &spec.rx_path, items);
             }
         }
 
@@ -2552,10 +2593,8 @@ impl Cosim {
         //    store, fresh link transport with deterministically reseeded
         //    fault PRNGs) and every transactor — all sequence spaces
         //    restart from scratch, so all wires must be clear.
-        let mut hw = HwSim::with_store(&revived_design, hw_store)
+        let hw = HwSim::with_options(revived_design, hw_store, rec.hw_opts)
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
-        hw.event_driven = rec.event_driven;
-        hw.compiled = rec.compiled;
         let cost = self.sw.cost;
         let mut sw = SwRunner::with_store(&topo.sw_design, sw_store, self.sw_opts);
         sw.cost = cost;
@@ -2566,7 +2605,7 @@ impl Cosim {
             insert_at,
             HwPart {
                 domain: dom.clone(),
-                design: revived_design,
+                src: Arc::clone(&split),
                 hw,
                 transactor: None,
                 link,
@@ -2589,7 +2628,7 @@ impl Cosim {
                         &self.sw_domain,
                         &self.sw_design,
                         &part.domain,
-                        &part.design,
+                        part.design(),
                     )
                     .map_err(|e| ExecError::Malformed(e.to_string()))?,
                 )
@@ -2611,9 +2650,9 @@ impl Cosim {
                 transactor: Transactor::new(
                     specs,
                     &self.parts_list[*a].domain,
-                    &self.parts_list[*a].design,
+                    self.parts_list[*a].design(),
                     &self.parts_list[*b].domain,
-                    &self.parts_list[*b].design,
+                    self.parts_list[*b].design(),
                 )
                 .map_err(|e| ExecError::Malformed(e.to_string()))?,
                 link: Link::with_faults(link_cfg, link_faults),
@@ -2626,7 +2665,7 @@ impl Cosim {
         //    in-transit traffic at the front of each surviving channel's
         //    tx FIFO — order preserved. Rehydrated channels carried no
         //    wire traffic (they were internal FIFOs).
-        self.parts = fission.parts;
+        self.parts = split;
         self.routes = topo.routes;
         for (i, &j) in fission.channel_map.iter().enumerate() {
             if backlog[i].is_empty() {
@@ -2645,7 +2684,10 @@ impl Cosim {
                     .iter_mut()
                     .find(|p| p.domain == spec.from_domain)
                     .expect("tx partition exists");
-                let id = part.design.prim_id(&spec.tx_path).expect("tx half exists");
+                let id = part
+                    .design()
+                    .prim_id(&spec.tx_path)
+                    .expect("tx half exists");
                 (&mut part.hw.store, id)
             };
             let mut st = tx_store.get_state(tx_id);
@@ -3072,6 +3114,21 @@ mod tests {
             .iter()
             .map(|v| v.as_int().unwrap())
             .collect()
+    }
+
+    /// The design fingerprint is part of the snapshot format (a `BCKP`
+    /// file only resumes into a system with the same fingerprint), so
+    /// its value for a fixed design and topology is pinned.
+    #[test]
+    fn design_fingerprint_is_stable() {
+        let p = partition(&offload_design(true), SW).unwrap();
+        let cs = Cosim::new(&p, SW, HW, LinkConfig::default(), SwOptions::default()).unwrap();
+        let p2 = partition(&chain_design(HW, HW2), SW).unwrap();
+        let cfgs = [HwPartitionCfg::new(HW2), HwPartitionCfg::new(HW)];
+        let multi =
+            Cosim::multi(&p2, SW, &cfgs, InterHwRouting::ViaHub, SwOptions::default()).unwrap();
+        assert_eq!(cs.fingerprint(), 0xd8d4_a071_59d1_2352);
+        assert_eq!(multi.fingerprint(), 0xb201_4d44_9574_d1ea);
     }
 
     #[test]

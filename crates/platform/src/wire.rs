@@ -128,13 +128,29 @@ pub fn crc32_bytes(bytes: &[u8]) -> u32 {
     !crc32_step(!0, bytes)
 }
 
-fn crc32_step(mut crc: u32, bytes: &[u8]) -> u32 {
-    for b in bytes {
-        crc ^= *b as u32;
-        for _ in 0..8 {
+/// The CRC of every byte value, so each input byte costs one table step
+/// instead of eight shift-and-xor steps (snapshot sections run to
+/// hundreds of KB, and their CRC sits inside the migration pause).
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+fn crc32_step(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     crc
 }

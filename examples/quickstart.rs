@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // stack-machine programs once, their verdicts are cached, and only
     // rules whose read set intersects the prims written since the last
     // probe are re-evaluated. `SwOptions { event_driven: false, .. }`
-    // (or `HwSim::event_driven = false`) selects the naive
+    // (or `HwOptions { event_driven: false, .. }`) selects the naive
     // evaluate-every-guard reference mode — same results, slower.
     let mut store = Store::new(&design);
     load(&mut store);

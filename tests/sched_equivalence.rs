@@ -12,7 +12,7 @@
 use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::design::Design;
 use bcl_core::program::Program;
-use bcl_core::sched::{HwSim, Strategy, SwOptions, SwRunner};
+use bcl_core::sched::{HwOptions, HwSim, Strategy, SwOptions, SwRunner};
 use bcl_core::store::Store;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
@@ -149,9 +149,11 @@ fn run_hw_on(
     event_driven: bool,
     compiled: bool,
 ) -> (Vec<usize>, Vec<u64>, u64, usize, Vec<i64>, u64, u64) {
-    let mut sim = HwSim::with_store(design, preload(design, inputs)).unwrap();
-    sim.event_driven = event_driven;
-    sim.compiled = compiled;
+    let opts = HwOptions {
+        event_driven,
+        compiled,
+    };
+    let mut sim = HwSim::with_options(design, preload(design, inputs), opts).unwrap();
     let mut trace = Vec::new();
     for _ in 0..100_000 {
         let fired = sim.step().unwrap();
