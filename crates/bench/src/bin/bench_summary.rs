@@ -1,24 +1,18 @@
-//! Wall-clock comparison of four software scheduler configurations
-//! over the Figure 13 quick benchmarks:
+//! Wall-clock comparison of the two executors over the Figure 13 quick
+//! benchmarks:
 //!
-//! * **naive** — per-cycle AST interpretation of every guard;
-//! * **event** — event-driven scheduler (compiled guards, verdict
-//!   caching, dirty-set invalidation) on the pointer-tree store;
-//! * **flat** — the same event-driven scheduler on the bit-packed
-//!   arena store (slot-indexed flat values, pointer-free guard reads);
-//! * **compiled** — the event-driven scheduler driving closure-threaded
-//!   native rules (no stack machine, no opcode dispatch) over the arena;
-//!   with word-level lowering, single-word leaf values travel as bare
-//!   `u64`s through the port API instead of boxed `Value`s.
+//! * **naive** — the reference: per-step AST interpretation of every
+//!   guard and body on the tree store ([`ExecBackend::Naive`]);
+//! * **compiled** — the production path: the event-driven scheduler
+//!   driving closure-threaded native rules over the bit-packed arena
+//!   store, with single-word values travelling as bare `u64`s through
+//!   the port API ([`ExecBackend::Compiled`]).
 //!
 //! Every leg is timed in **two phases** via the suites' public
 //! `build_cosim`/`run_built` split: the one-time construction phase
 //! (elaborate + partition + lower rules + build the platform) and the
-//! simulation phase (stream the workload to completion). On the quick
-//! benches construction is a large, backend-independent constant — over
-//! half the end-to-end time (see EXPERIMENTS.md §P2) — so the `*_run_ns`
-//! fields are what actually compare executor backends, while the plain
-//! `*_ns` fields stay end-to-end for continuity with BENCH_pr8.
+//! simulation phase (stream the workload to completion). The `*_run_ns`
+//! fields compare the executors; the plain `*_ns` fields are end to end.
 //!
 //! Each suite also times its hand-written native decoder (the paper's
 //! F2 baseline) so the JSON records how much interpretation overhead
@@ -28,18 +22,12 @@
 //! Emits a machine-readable JSON summary.
 //!
 //! ```text
-//! bench_summary [output.json]    # default: BENCH_pr10.json
+//! bench_summary [output.json]    # default: bench_summary.json
 //! ```
 //!
-//! Cycle counts and outputs are asserted identical across all four
-//! modes for every partition — the speedups are pure simulator
-//! wall-clock, not a change in what is simulated. Any partition whose
-//! arena store runs *slower* than the tree store (`flat_speedup < 1`)
-//! is flagged loudly on stdout and collected in the JSON
-//! `flat_regressions` array (see EXPERIMENTS.md §P1 for the analysis);
-//! likewise any partition whose compiled closures run slower than the
-//! stack-machine Vm (`compiled_speedup < 1`) lands in
-//! `compiled_regressions` (see EXPERIMENTS.md §P3).
+//! Cycle counts and outputs are asserted identical across both
+//! executors for every partition — the speedups are pure simulator
+//! wall-clock, not a change in what is simulated.
 
 use bcl_core::sched::ExecBackend;
 use bcl_raytrace::bvh::build_bvh;
@@ -49,88 +37,18 @@ use bcl_raytrace::partitions::{build_cosim as build_rt, run_built as run_built_r
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::native::NativeBackend;
 use bcl_vorbis::partitions::{build_cosim, run_built, VorbisPartition};
+use std::fmt::Debug;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const REPS: u32 = 5;
 
-const BACKENDS: [(&str, ExecBackend); 4] = [
-    ("naive", ExecBackend::Naive),
-    ("event", ExecBackend::Event),
-    ("flat", ExecBackend::Flat),
-    ("compiled", ExecBackend::Compiled),
-];
+const BACKENDS: [ExecBackend; 2] = [ExecBackend::Naive, ExecBackend::Compiled];
 
 /// Best-of-N total and simulation-phase wall clock for one leg.
 struct Leg {
     total_ns: u128,
     run_ns: u128,
-}
-
-struct Entry {
-    bench: &'static str,
-    partition: String,
-    fpga_cycles: u64,
-    naive: Leg,
-    event: Leg,
-    flat: Leg,
-    compiled: Leg,
-    /// Wall clock of the suite's hand-written native decoder (F2).
-    native_ns: u128,
-    guard_evals: u64,
-    guard_evals_skipped: u64,
-}
-
-impl Entry {
-    fn speedup(&self) -> f64 {
-        self.naive.total_ns as f64 / self.event.total_ns.max(1) as f64
-    }
-
-    /// Arena store vs tree store, same (event-driven) scheduler,
-    /// end-to-end: the pure representation win.
-    fn flat_speedup(&self) -> f64 {
-        self.event.total_ns as f64 / self.flat.total_ns.max(1) as f64
-    }
-
-    /// Closure-threaded native rules vs the stack-machine Vm, same
-    /// (event-driven) scheduler, end-to-end.
-    fn compiled_speedup(&self) -> f64 {
-        self.event.total_ns as f64 / self.compiled.total_ns.max(1) as f64
-    }
-
-    /// The same comparison over the simulation phase only — the number
-    /// that isolates the executor from the shared construction constant.
-    fn compiled_run_speedup(&self) -> f64 {
-        self.event.run_ns as f64 / self.compiled.run_ns.max(1) as f64
-    }
-
-    fn flat_run_speedup(&self) -> f64 {
-        self.event.run_ns as f64 / self.flat.run_ns.max(1) as f64
-    }
-
-    /// How many times slower the compiled simulator's simulation phase
-    /// still is than the suite's hand-written native decoder (lower is
-    /// better; 1.0 would mean zero interpretation overhead left).
-    fn compiled_vs_native(&self) -> f64 {
-        self.compiled.run_ns as f64 / self.native_ns.max(1) as f64
-    }
-}
-
-/// One timed rep of one leg: `build` is timed as construction, `run` as
-/// simulation; the total is their sum within the rep. The caller
-/// interleaves reps across backends (all four legs inside each rep, not
-/// all reps of one leg back to back) so that machine-load drift — which
-/// swings far more than the effects being measured — lands on every
-/// backend equally, and takes the per-leg best across reps.
-fn time_rep<C, T>(leg: &mut Leg, mut build: impl FnMut() -> C, mut run: impl FnMut(C) -> T) -> T {
-    let t0 = Instant::now();
-    let c = build();
-    let t1 = Instant::now();
-    let v = run(c);
-    let run_ns = t1.elapsed().as_nanos();
-    leg.total_ns = leg.total_ns.min(t0.elapsed().as_nanos());
-    leg.run_ns = leg.run_ns.min(run_ns);
-    v
 }
 
 impl Leg {
@@ -142,300 +60,191 @@ impl Leg {
     }
 }
 
-/// Best-of-N wall clock for one closure (used for the F2 natives).
-fn time_best<T>(mut f: impl FnMut() -> T) -> (u128, T) {
-    let mut best = u128::MAX;
-    let mut out = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let v = f();
-        best = best.min(t.elapsed().as_nanos());
-        out = Some(v);
+struct Entry {
+    bench: &'static str,
+    partition: &'static str,
+    fpga_cycles: u64,
+    naive: Leg,
+    compiled: Leg,
+    /// Wall clock of the suite's hand-written native decoder (F2).
+    native_ns: u128,
+    guard_evals: u64,
+    guard_evals_skipped: u64,
+}
+
+impl Entry {
+    /// Compiled vs naive, end to end.
+    fn speedup(&self) -> f64 {
+        self.naive.total_ns as f64 / self.compiled.total_ns.max(1) as f64
     }
-    (best, out.unwrap())
+
+    /// The same comparison over the simulation phase only — the number
+    /// that isolates the executor from the shared construction constant.
+    fn run_speedup(&self) -> f64 {
+        self.naive.run_ns as f64 / self.compiled.run_ns.max(1) as f64
+    }
+
+    /// How many times slower the compiled simulator's simulation phase
+    /// still is than the suite's hand-written native decoder (lower is
+    /// better; 1.0 would mean zero interpretation overhead left).
+    fn compiled_vs_native(&self) -> f64 {
+        self.compiled.run_ns as f64 / self.native_ns.max(1) as f64
+    }
+}
+
+/// What the equality check compares between the two legs of one
+/// partition: modeled FPGA cycles, CPU cycles, and the output stream.
+type Observed<O> = (u64, u64, O);
+
+/// Times both legs of one partition, interleaving reps across backends
+/// (both legs inside each rep, not all reps of one leg back to back) so
+/// that machine-load drift lands on each backend equally, and takes the
+/// per-leg best across reps. `build` is timed as construction, `run` as
+/// simulation; `observe` extracts what must agree across the legs plus
+/// the guard counters of the compiled leg.
+fn measure<C, R, O: PartialEq + Debug>(
+    label: &str,
+    mut build: impl FnMut(ExecBackend) -> C,
+    mut run: impl FnMut(C) -> R,
+    observe: impl Fn(&R) -> (Observed<O>, (u64, u64)),
+) -> ([Leg; 2], u64, (u64, u64)) {
+    let mut legs = [Leg::unmeasured(), Leg::unmeasured()];
+    let mut first = Vec::new();
+    for rep in 0..REPS {
+        for (leg, backend) in legs.iter_mut().zip(BACKENDS) {
+            let t0 = Instant::now();
+            let c = build(backend);
+            let t1 = Instant::now();
+            let r = run(c);
+            leg.run_ns = leg.run_ns.min(t1.elapsed().as_nanos());
+            leg.total_ns = leg.total_ns.min(t0.elapsed().as_nanos());
+            if rep == 0 {
+                first.push(observe(&r));
+            }
+        }
+    }
+    let (naive, _) = &first[0];
+    let (compiled, guards) = &first[1];
+    assert_eq!(
+        naive, compiled,
+        "{label}: naive and compiled disagree on (fpga cycles, cpu cycles, output)"
+    );
+    (legs, compiled.0, *guards)
+}
+
+/// Best-of-N wall clock for one closure (used for the F2 natives).
+fn time_best<T>(mut f: impl FnMut() -> T) -> u128 {
+    (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_nanos()
+        })
+        .min()
+        .unwrap()
 }
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "BENCH_pr10.json".to_string());
+        .unwrap_or_else(|| "bench_summary.json".to_string());
     let mut entries: Vec<Entry> = Vec::new();
-
-    let frames = frame_stream(8, 1);
-    let (vorbis_native_ns, _) = time_best(|| NativeBackend::new().run(&frames));
-    for p in VorbisPartition::ALL {
-        let mut legs: Vec<Leg> = BACKENDS.iter().map(|_| Leg::unmeasured()).collect();
-        let mut runs = Vec::new();
-        for rep in 0..REPS {
-            for (i, (name, backend)) in BACKENDS.into_iter().enumerate() {
-                let run = time_rep(
-                    &mut legs[i],
-                    || build_cosim(p, &frames, backend).unwrap(),
-                    |c| run_built(c, p, frames.len()).unwrap(),
-                );
-                if rep == 0 {
-                    runs.push((name, run));
-                }
-            }
-        }
-        let event = &runs[1].1;
-        for (mode, other) in [&runs[0], &runs[2], &runs[3]] {
-            assert_eq!(
-                event.fpga_cycles,
-                other.fpga_cycles,
-                "vorbis {}: cycle counts diverged between event and {mode}",
-                p.label()
-            );
-            assert_eq!(
-                event.pcm,
-                other.pcm,
-                "vorbis {}: PCM diverged between event and {mode}",
-                p.label()
-            );
-        }
-        assert_eq!(
-            event.sw_cpu_cycles,
-            runs[3].1.sw_cpu_cycles,
-            "vorbis {}: CPU cycles diverged between event and compiled",
-            p.label()
-        );
-        let guard_evals = event.guard_evals;
-        let guard_evals_skipped = event.guard_evals_skipped;
-        let fpga_cycles = event.fpga_cycles;
-        let mut it = legs.into_iter();
+    let mut push = |bench, partition, native_ns, m: ([Leg; 2], u64, (u64, u64))| {
+        let ([naive, compiled], fpga_cycles, (guard_evals, guard_evals_skipped)) = m;
         entries.push(Entry {
-            bench: "fig13_vorbis",
-            partition: p.label().to_string(),
+            bench,
+            partition,
             fpga_cycles,
-            naive: it.next().unwrap(),
-            event: it.next().unwrap(),
-            flat: it.next().unwrap(),
-            compiled: it.next().unwrap(),
-            native_ns: vorbis_native_ns,
+            naive,
+            compiled,
+            native_ns,
             guard_evals,
             guard_evals_skipped,
         });
+    };
+
+    let frames = frame_stream(8, 1);
+    let vorbis_native_ns = time_best(|| NativeBackend::new().run(&frames));
+    for p in VorbisPartition::ALL {
+        let m = measure(
+            &format!("vorbis {}", p.label()),
+            |b| build_cosim(p, &frames, b).unwrap(),
+            |c| run_built(c, p, frames.len()).unwrap(),
+            |r| {
+                (
+                    (r.fpga_cycles, r.sw_cpu_cycles, r.pcm.clone()),
+                    (r.guard_evals, r.guard_evals_skipped),
+                )
+            },
+        );
+        push("fig13_vorbis", p.label(), vorbis_native_ns, m);
     }
 
     let bvh = build_bvh(&make_scene(64, 1));
     let (w, h) = (4, 4);
     let rays = gen_rays(w, h);
-    let (rt_native_ns, _) = time_best(|| render(&bvh, &rays));
+    let rt_native_ns = time_best(|| render(&bvh, &rays));
     for p in RtPartition::ALL {
-        let mut legs: Vec<Leg> = BACKENDS.iter().map(|_| Leg::unmeasured()).collect();
-        let mut runs = Vec::new();
-        for rep in 0..REPS {
-            for (i, (name, backend)) in BACKENDS.into_iter().enumerate() {
-                let run = time_rep(
-                    &mut legs[i],
-                    || build_rt(p, &bvh, w, h, backend).unwrap(),
-                    |c| run_built_rt(c, p, w * h).unwrap(),
-                );
-                if rep == 0 {
-                    runs.push((name, run));
-                }
-            }
-        }
-        let event = &runs[1].1;
-        for (mode, other) in [&runs[0], &runs[2], &runs[3]] {
-            assert_eq!(
-                event.fpga_cycles,
-                other.fpga_cycles,
-                "raytrace {}: cycle counts diverged between event and {mode}",
-                p.label()
-            );
-            assert_eq!(
-                event.image,
-                other.image,
-                "raytrace {}: image diverged between event and {mode}",
-                p.label()
-            );
-        }
-        assert_eq!(
-            event.sw_cpu_cycles,
-            runs[3].1.sw_cpu_cycles,
-            "raytrace {}: CPU cycles diverged between event and compiled",
-            p.label()
+        let m = measure(
+            &format!("raytrace {}", p.label()),
+            |b| build_rt(p, &bvh, w, h, b).unwrap(),
+            |c| run_built_rt(c, p, w * h).unwrap(),
+            |r| {
+                (
+                    (r.fpga_cycles, r.sw_cpu_cycles, r.image.clone()),
+                    (r.guard_evals, r.guard_evals_skipped),
+                )
+            },
         );
-        let guard_evals = event.guard_evals;
-        let guard_evals_skipped = event.guard_evals_skipped;
-        let fpga_cycles = event.fpga_cycles;
-        let mut it = legs.into_iter();
-        entries.push(Entry {
-            bench: "fig13_raytrace",
-            partition: p.label().to_string(),
-            fpga_cycles,
-            naive: it.next().unwrap(),
-            event: it.next().unwrap(),
-            flat: it.next().unwrap(),
-            compiled: it.next().unwrap(),
-            native_ns: rt_native_ns,
-            guard_evals,
-            guard_evals_skipped,
-        });
+        push("fig13_raytrace", p.label(), rt_native_ns, m);
     }
 
     let sum = |f: fn(&Entry) -> u128| entries.iter().map(f).sum::<u128>();
-    let total_naive = sum(|e| e.naive.total_ns);
-    let total_event = sum(|e| e.event.total_ns);
-    let total_flat = sum(|e| e.flat.total_ns);
-    let total_compiled = sum(|e| e.compiled.total_ns);
-    let run_naive = sum(|e| e.naive.run_ns);
-    let run_event = sum(|e| e.event.run_ns);
-    let run_flat = sum(|e| e.flat.run_ns);
-    let run_compiled = sum(|e| e.compiled.run_ns);
-    let overall = total_naive as f64 / total_event.max(1) as f64;
-    let overall_flat = total_event as f64 / total_flat.max(1) as f64;
-    let overall_flat_vs_naive = total_naive as f64 / total_flat.max(1) as f64;
-    let overall_compiled = total_event as f64 / total_compiled.max(1) as f64;
-    let overall_compiled_vs_naive = total_naive as f64 / total_compiled.max(1) as f64;
-    let overall_run = run_naive as f64 / run_event.max(1) as f64;
-    let overall_run_flat = run_event as f64 / run_flat.max(1) as f64;
-    let overall_run_compiled = run_event as f64 / run_compiled.max(1) as f64;
+    let overall = sum(|e| e.naive.total_ns) as f64 / sum(|e| e.compiled.total_ns).max(1) as f64;
+    let overall_run = sum(|e| e.naive.run_ns) as f64 / sum(|e| e.compiled.run_ns).max(1) as f64;
 
     println!(
-        "{:<16} {:<4} {:>11} {:>11} {:>11} {:>11} {:>8} {:>9} {:>9} {:>9} {:>9}",
-        "bench",
-        "part",
-        "naive_ms",
-        "event_ms",
-        "flat_ms",
-        "compiled",
-        "speedup",
-        "flat_gain",
-        "cmp_gain",
-        "cmp_run",
-        "vs_F2"
+        "{:<16} {:<4} {:>11} {:>11} {:>8} {:>8} {:>9}",
+        "bench", "part", "naive_ms", "compiled", "speedup", "run", "vs_F2"
     );
     for e in &entries {
         println!(
-            "{:<16} {:<4} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>8.1}x",
+            "{:<16} {:<4} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>8.1}x",
             e.bench,
             e.partition,
             e.naive.total_ns as f64 / 1e6,
-            e.event.total_ns as f64 / 1e6,
-            e.flat.total_ns as f64 / 1e6,
             e.compiled.total_ns as f64 / 1e6,
             e.speedup(),
-            e.flat_speedup(),
-            e.compiled_speedup(),
-            e.compiled_run_speedup(),
+            e.run_speedup(),
             e.compiled_vs_native()
         );
     }
-    println!("overall event-vs-naive speedup:    {overall:.2}x  (sim phase {overall_run:.2}x)");
-    println!(
-        "overall flat-vs-event speedup:     {overall_flat:.2}x  (sim phase {overall_run_flat:.2}x)"
-    );
-    println!("overall flat-vs-naive speedup:     {overall_flat_vs_naive:.2}x");
-    println!(
-        "overall compiled-vs-event speedup: {overall_compiled:.2}x  (sim phase {overall_run_compiled:.2}x)"
-    );
-    println!("overall compiled-vs-naive speedup: {overall_compiled_vs_naive:.2}x");
+    println!("overall compiled-vs-naive speedup: {overall:.2}x  (sim phase {overall_run:.2}x)");
 
-    // A flat_speedup below 1.0 means the arena store made that partition
-    // *slower* — worth shouting about, not letting scroll by.
-    let flat_regressions: Vec<&Entry> = entries.iter().filter(|e| e.flat_speedup() < 1.0).collect();
-    for e in &flat_regressions {
-        println!(
-            "WARNING: flat-store regression: {} {} runs {:.1}% slower on the arena store \
-             (flat_speedup {:.4}) — read-dominated workload, see EXPERIMENTS.md P1",
-            e.bench,
-            e.partition,
-            (1.0 / e.flat_speedup() - 1.0) * 100.0,
-            e.flat_speedup()
-        );
-    }
-
-    // Same treatment for the compiled backend: a compiled_speedup below
-    // 1.0 means closure threading (plus word-level lowering) lost to the
-    // stack-machine Vm on that partition.
-    let compiled_regressions: Vec<&Entry> = entries
-        .iter()
-        .filter(|e| e.compiled_speedup() < 1.0)
-        .collect();
-    for e in &compiled_regressions {
-        println!(
-            "WARNING: compiled-backend regression: {} {} runs {:.1}% slower compiled than the \
-             event Vm (compiled_speedup {:.4}) — see EXPERIMENTS.md P3",
-            e.bench,
-            e.partition,
-            (1.0 / e.compiled_speedup() - 1.0) * 100.0,
-            e.compiled_speedup()
-        );
-    }
-
-    let mut json = String::from("{\n  \"benchmark\": \"naive_vs_event_vs_flat_vs_compiled\",\n");
+    let mut json = String::from("{\n  \"benchmark\": \"naive_vs_compiled\",\n");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"overall_speedup\": {overall:.4},");
-    let _ = writeln!(json, "  \"overall_flat_speedup\": {overall_flat:.4},");
-    let _ = writeln!(
-        json,
-        "  \"overall_flat_vs_naive_speedup\": {overall_flat_vs_naive:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"overall_compiled_speedup\": {overall_compiled:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"overall_compiled_vs_naive_speedup\": {overall_compiled_vs_naive:.4},"
-    );
     let _ = writeln!(json, "  \"overall_run_speedup\": {overall_run:.4},");
-    let _ = writeln!(
-        json,
-        "  \"overall_flat_run_speedup\": {overall_run_flat:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"overall_compiled_run_speedup\": {overall_run_compiled:.4},"
-    );
     let _ = writeln!(json, "  \"vorbis_native_ns\": {vorbis_native_ns},");
     let _ = writeln!(json, "  \"raytrace_native_ns\": {rt_native_ns},");
-    json.push_str("  \"flat_regressions\": [");
-    for (i, e) in flat_regressions.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(json, "\"{} {}\"", e.bench, e.partition);
-    }
-    json.push_str("],\n");
-    json.push_str("  \"compiled_regressions\": [");
-    for (i, e) in compiled_regressions.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(json, "\"{} {}\"", e.bench, e.partition);
-    }
-    json.push_str("],\n");
     json.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(
             json,
             "    {{\"bench\": \"{}\", \"partition\": \"{}\", \"fpga_cycles\": {}, \
-             \"naive_ns\": {}, \"event_ns\": {}, \"flat_ns\": {}, \"compiled_ns\": {}, \
-             \"naive_run_ns\": {}, \"event_run_ns\": {}, \"flat_run_ns\": {}, \
-             \"compiled_run_ns\": {}, \
-             \"speedup\": {:.4}, \"flat_speedup\": {:.4}, \"compiled_speedup\": {:.4}, \
-             \"flat_run_speedup\": {:.4}, \"compiled_run_speedup\": {:.4}, \
+             \"naive_ns\": {}, \"compiled_ns\": {}, \"naive_run_ns\": {}, \
+             \"compiled_run_ns\": {}, \"speedup\": {:.4}, \"run_speedup\": {:.4}, \
              \"compiled_vs_native_ratio\": {:.4}, \"guard_evals\": {}, \
              \"guard_evals_skipped\": {}}}",
             e.bench,
             e.partition,
             e.fpga_cycles,
             e.naive.total_ns,
-            e.event.total_ns,
-            e.flat.total_ns,
             e.compiled.total_ns,
             e.naive.run_ns,
-            e.event.run_ns,
-            e.flat.run_ns,
             e.compiled.run_ns,
             e.speedup(),
-            e.flat_speedup(),
-            e.compiled_speedup(),
-            e.flat_run_speedup(),
-            e.compiled_run_speedup(),
+            e.run_speedup(),
             e.compiled_vs_native(),
             e.guard_evals,
             e.guard_evals_skipped

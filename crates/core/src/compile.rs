@@ -1,35 +1,30 @@
 //! The compiled execution backend: rule programs lowered to
-//! closure-threaded native code.
+//! closure-threaded native code, the production executor.
 //!
-//! The event-driven Vm ([`crate::exec::Vm`]) still pays per-instruction
-//! costs on every rule firing: an opcode dispatch, program-counter
-//! bookkeeping, and a heap-allocated value stack that every operand is
-//! copied through (plus a fresh argument `Vec` per method call). This
-//! module removes all of that with a one-time lowering pass: each guard
-//! and rule body is compiled — straight from the (already lifted and
-//! sequentialized) AST, so control flow stays structured — into a tree of
-//! monomorphized Rust closures threaded into a single callable. Operands
-//! flow through machine registers as closure return values, let-bound
-//! locals become pre-resolved slots in a reusable [`NativeFrame`],
-//! `Index`/`Field` on a let-bound base are fused into direct slot
-//! accesses (no base clone), and method-call argument lists of arity
-//! ≤ 2 live on the stack.
+//! The AST interpreter ([`crate::exec::eval`]/[`crate::exec::exec`]) is
+//! the reference executor: it walks the tree on every firing, resolves
+//! let-bound names through a string-keyed environment, and builds a
+//! fresh argument `Vec` per method call. This module removes all of that
+//! with a one-time lowering pass: each guard and rule body is compiled —
+//! straight from the (already lifted and sequentialized) AST, so control
+//! flow stays structured — into a tree of monomorphized Rust closures
+//! threaded into a single callable. Operands flow through machine
+//! registers as closure return values, let-bound locals become
+//! pre-resolved slots in a reusable [`NativeFrame`], `Index`/`Field` on a
+//! let-bound base are fused into direct slot accesses (no base clone),
+//! and method-call argument lists of arity ≤ 2 live on the stack.
 //!
 //! **Cost parity is load-bearing.** Every closure charges exactly the ops
-//! the AST interpreter ([`crate::exec::eval`]/[`crate::exec::exec`]) and
-//! the Vm charge, at the same evaluation points, into the same [`Cost`]
-//! ledgers (via `NativePort`, a closed, fully monomorphized port enum —
-//! a `&mut dyn PrimPort` here would pay a virtual call per charge, which
-//! measurably loses to the stack machine). Modeled
-//! `cpu_cycles`/`fpga_cycles` are therefore bit-identical across all
-//! three executors (the cycle-regression pins and the fuzz farm's
+//! the AST interpreter charges, at the same evaluation points, into the
+//! same [`Cost`] ledgers (via `NativePort`, a closed, fully monomorphized
+//! port enum — a trait object here would pay a virtual call per charge).
+//! Modeled `cpu_cycles`/`fpga_cycles` are therefore bit-identical across
+//! the two executors (the cycle-regression pins and the fuzz farm's
 //! compiled legs both assert this). Only wall-clock time changes.
 //!
-//! Coverage is identical to the stack-machine compiler
-//! ([`crate::xform::compile_expr`]/[`crate::xform::compile_action`]):
-//! lowering returns `None` for `localGuard` bodies, unelaborated `Named`
-//! targets, and unbound variables, and the schedulers fall back to the
-//! AST interpreter for exactly those rules in every backend.
+//! Lowering returns `None` for `localGuard` bodies, unelaborated `Named`
+//! targets, and unbound variables, and the schedulers run exactly those
+//! rules on the AST interpreter.
 //!
 //! ## One lowering per rule, matched to the store
 //!
@@ -287,10 +282,9 @@ enum Binding {
 }
 
 /// Where a compiled closure reads and writes primitives. A closed enum
-/// rather than `&mut dyn PrimPort`: the Vm is monomorphized over its
-/// port, so matching it means the per-node cost charges and method
-/// calls here must also compile to direct code — a vtable call per
-/// `ops += 1` measurably loses to the stack machine.
+/// rather than a trait object, so the per-node cost charges and method
+/// calls compile to direct code — a vtable call per `ops += 1` costs
+/// measurable wall clock.
 pub(crate) enum NativePort<'s> {
     /// Transactional rule body.
     Txn(Txn<'s>),
@@ -582,10 +576,9 @@ impl fmt::Debug for CompiledAction {
 }
 
 /// A [`RulePlan`] lowered to native closures for one store kind. `None`
-/// components fall back to the AST interpreter, mirroring the
-/// stack-machine fallback exactly; so does a lowering that meets a store
-/// of the other kind at run time (the interpreter charges identical
-/// costs, so only wall-clock time differs).
+/// components fall back to the AST interpreter; so does a lowering that
+/// meets a store of the other kind at run time (the interpreter charges
+/// identical costs, so only wall-clock time differs).
 #[derive(Debug, Default)]
 pub struct NativeRule {
     /// The lifted guard, when present and compilable.
@@ -827,8 +820,8 @@ fn boxed_chain(c: Chain) -> ExprThunk {
         }
         Node::Field { inner, off, name } => {
             if let Node::Frame { base } = inner.node {
-                // Field of a let-bound struct: fused like the Vm's
-                // `LoadField`, the offset resolved at lower time.
+                // Field of a let-bound struct: fused into a direct frame
+                // read, the offset resolved at lower time.
                 let foff = off as usize;
                 return Box::new(move |p, f| {
                     p.cost().ops += 1;
@@ -853,7 +846,7 @@ fn boxed_chain(c: Chain) -> ExprThunk {
     }
 }
 
-/// Indexing a let-bound packed vector, fused like the Vm's `LoadIndex`:
+/// Indexing a let-bound packed vector, fused into a direct frame read:
 /// the element is read straight out of the frame region without
 /// building the vector.
 fn frame_index(base: usize, len: usize, stride: u32, elem: Layout, i: ExprThunk) -> ExprThunk {
@@ -1041,7 +1034,7 @@ fn word_bin(op: BinOp, at: WordThunk, aty: WordTy, bt: WordThunk, bty: WordTy) -
 }
 
 /// A method call's lowered argument list; arity ≤ 2 stays on the stack
-/// at run time (the Vm allocates a `Vec` per call via `split_off`).
+/// at run time (no `Vec` per call).
 enum Args {
     A0,
     A1(ExprThunk),
@@ -1458,8 +1451,8 @@ impl<'a> Lowerer<'a> {
             }
             Expr::Index(v, i) => {
                 // Indexing a let-bound vector is fused into a direct slot
-                // access, like the Vm's `LoadIndex`: the element is copied
-                // straight out of the slot without cloning the vector.
+                // access: the element is copied straight out of the slot
+                // without cloning the vector.
                 // `Var` evaluation is infallible, so hoisting it past the
                 // index expression cannot reorder failures; charged cost
                 // is identical.
@@ -1534,8 +1527,8 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Expr::Field(v, name) => {
-                // Field of a let-bound struct: fused like the Vm's
-                // `LoadField`.
+                // Field of a let-bound struct: fused into a direct slot
+                // access.
                 if let Expr::Var(n) = v.as_ref() {
                     let name = name.clone();
                     return Some(match self.lookup(n)? {
@@ -1842,10 +1835,10 @@ impl<'a> Lowerer<'a> {
                 })
             }
             Action::Par(x, y) => {
-                // Mirror the Vm's ParStart/ParMid/ParEnd frame discipline
-                // through the port; an error mid-branch propagates with
-                // the frames unbalanced and rollback clears them, exactly
-                // like the stack machine.
+                // The interpreter's par_start/par_mid/par_end frame
+                // discipline through the port; an error mid-branch
+                // propagates with the frames unbalanced and rollback
+                // clears them.
                 let x = self.action(x)?;
                 let y = self.action(y)?;
                 Box::new(move |p, f| {
@@ -1858,7 +1851,7 @@ impl<'a> Lowerer<'a> {
             }
             // localGuard absorbs guard failures into a discardable frame,
             // which needs catch semantics the closure chain does not model;
-            // it stays on the interpreter (same fallback as the Vm).
+            // it stays on the interpreter.
             Action::LocalGuard(..) => return None,
         })
     }
@@ -1979,10 +1972,9 @@ fn store_mismatch(flat: bool) -> ExecError {
     ))
 }
 
-/// Native counterpart of [`crate::exec::eval_guard_ro`] /
-/// [`crate::exec::eval_guard_compiled`]: evaluates a lowered guard
-/// directly against the committed store, folding guard failures to
-/// `Ok(false)`. Charges identical cost to both. The lowering must fit
+/// Native counterpart of [`crate::exec::eval_guard_ro`]: evaluates a
+/// lowered guard directly against the committed store, folding guard
+/// failures to `Ok(false)`. Charges identical cost. The lowering must fit
 /// the store ([`CompiledExpr::fits`]; [`NativeRule::eval_guard`] falls
 /// back to the interpreter instead).
 pub fn eval_guard_native(
@@ -2007,7 +1999,7 @@ pub fn eval_guard_native(
     }
 }
 
-/// Native counterpart of [`crate::exec::run_rule_compiled`]: executes a
+/// Native counterpart of [`crate::exec::run_rule`]: executes a
 /// lowered body as a transaction, committing on success and rolling back
 /// on guard failure. The lowering must fit the store.
 pub fn run_rule_native(
@@ -2034,11 +2026,10 @@ pub fn run_rule_native(
     }
 }
 
-/// Native counterpart of [`crate::exec::run_rule_inplace_compiled`]:
-/// executes a fully guard-lifted body straight against the committed
-/// store — no transaction, no frame stack, no shadow map. Cost-identical
-/// to the in-place interpreter and Vm paths. The lowering must fit the
-/// store.
+/// Native counterpart of [`crate::exec::run_rule_inplace`]: executes a
+/// fully guard-lifted body straight against the committed store — no
+/// transaction, no frame stack, no shadow map. Cost-identical to the
+/// in-place interpreter. The lowering must fit the store.
 pub fn run_rule_inplace_native(
     frame: &mut NativeFrame,
     store: &mut Store,
@@ -2069,7 +2060,6 @@ mod tests {
     use super::*;
     use crate::ast::{Path, PrimId, PrimMethod, RuleDef};
     use crate::design::{Design, PrimDef};
-    use crate::exec::{eval_guard_compiled, run_rule_compiled, run_rule_inplace_compiled, Vm};
     use crate::prim::PrimSpec;
     use crate::types::Type;
     use crate::value::BinOp;
@@ -2117,64 +2107,51 @@ mod tests {
         Action::Call(Target::Prim(id, PrimMethod::Enq), vec![e])
     }
 
-    /// Five-way parity: the native backend must match the AST
-    /// interpreter AND the stack machine in verdicts, final state, and —
-    /// bit for bit — cost counters; the flat-store word lowering must
-    /// match the flat-store interpreter the same way, with identical
-    /// costs to the tree legs.
+    /// Four-way parity: the tree-store native lowering must match the
+    /// tree-store AST interpreter in verdicts, final state, and — bit for
+    /// bit — cost counters; the flat-store word lowering must match the
+    /// flat-store interpreter the same way, with identical costs to the
+    /// tree legs.
     fn assert_native_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
         let plan = compile_rule(rule, CompileOpts::default());
         let tree = compile_plan_with(&plan, None);
         let flat = compile_plan(&plan, design);
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
-        let mut s_vm = s_ast.clone();
         let mut s_nat = s_ast.clone();
         let mut s_fla = Store::new_flat(design);
         setup(&mut s_fla);
         let mut s_fln = s_fla.clone();
-        let mut vm = Vm::new();
         let mut frame = NativeFrame::new();
         if let Some(g) = &plan.guard {
-            let prog = crate::xform::compile_expr(g).expect("guard compiles to Prog");
             let cg = tree.guard.as_ref().expect("guard compiles natively");
             let fg = flat.guard.as_ref().expect("guard word-lowers");
             let mut c_ast = Cost::default();
-            let mut c_vm = Cost::default();
             let mut c_nat = Cost::default();
             let mut c_fla = Cost::default();
             let mut c_fln = Cost::default();
             let v_ast = eval_guard_ro(&mut s_ast, g, &mut c_ast).unwrap();
-            let v_vm = eval_guard_compiled(&mut vm, &s_vm, &prog, &mut c_vm).unwrap();
             let v_nat = eval_guard_native(&mut frame, &s_nat, cg, &mut c_nat).unwrap();
             let v_fla = eval_guard_ro(&mut s_fla, g, &mut c_fla).unwrap();
             let v_fln = eval_guard_native(&mut frame, &s_fln, fg, &mut c_fln).unwrap();
             assert_eq!(v_ast, v_nat, "guard verdict for {}", rule.name);
-            assert_eq!(v_vm, v_nat, "guard verdict vm/native for {}", rule.name);
             assert_eq!(c_ast, c_nat, "guard cost for {}", rule.name);
-            assert_eq!(c_vm, c_nat, "guard cost vm/native for {}", rule.name);
             assert_eq!(v_fla, v_nat, "guard verdict flat/tree for {}", rule.name);
             assert_eq!(v_fln, v_nat, "guard verdict flat-native for {}", rule.name);
             assert_eq!(c_fla, c_nat, "guard cost flat-ast for {}", rule.name);
             assert_eq!(c_fln, c_nat, "guard cost flat-native for {}", rule.name);
         }
-        let prog = crate::xform::compile_action(&plan.body).expect("body compiles to Prog");
         let cb = tree.body.as_ref().expect("body compiles natively");
         let fb = flat.body.as_ref().expect("body word-lowers");
         let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
-        let (out_vm, cost_vm) =
-            run_rule_compiled(&mut vm, &mut s_vm, &prog, ShadowPolicy::Partial).unwrap();
         let (out_nat, cost_nat) =
             run_rule_native(&mut frame, &mut s_nat, cb, ShadowPolicy::Partial).unwrap();
         let (out_fla, cost_fla) = run_rule(&mut s_fla, &plan.body, ShadowPolicy::Partial).unwrap();
         let (out_fln, cost_fln) =
             run_rule_native(&mut frame, &mut s_fln, fb, ShadowPolicy::Partial).unwrap();
         assert_eq!(out_ast, out_nat, "outcome for {}", rule.name);
-        assert_eq!(out_vm, out_nat, "outcome vm/native for {}", rule.name);
         assert_eq!(cost_ast, cost_nat, "body cost for {}", rule.name);
-        assert_eq!(cost_vm, cost_nat, "body cost vm/native for {}", rule.name);
         assert_eq!(s_ast, s_nat, "state for {}", rule.name);
-        assert_eq!(s_vm, s_nat, "state vm/native for {}", rule.name);
         assert_eq!(out_fla, out_nat, "outcome flat-ast for {}", rule.name);
         assert_eq!(out_fln, out_nat, "outcome flat-native for {}", rule.name);
         assert_eq!(cost_fla, cost_nat, "body cost flat-ast for {}", rule.name);
@@ -2201,25 +2178,19 @@ mod tests {
         assert_eq!(plan.mode, ExecMode::InPlace, "{} must lift", rule.name);
         let cb = compile_action(&plan.body).expect("body compiles natively");
         let fb = compile_plan(&plan, design).body.expect("body word-lowers");
-        let prog = crate::xform::compile_action(&plan.body).expect("body compiles to Prog");
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
-        let mut s_vm = s_ast.clone();
         let mut s_nat = s_ast.clone();
         let mut s_fla = Store::new_flat(design);
         setup(&mut s_fla);
         let mut s_fln = s_fla.clone();
-        let mut vm = Vm::new();
         let mut frame = NativeFrame::new();
         let c_ast = run_rule_inplace(&mut s_ast, &plan.body).unwrap();
-        let c_vm = run_rule_inplace_compiled(&mut vm, &mut s_vm, &prog).unwrap();
         let c_nat = run_rule_inplace_native(&mut frame, &mut s_nat, &cb).unwrap();
         let c_fla = run_rule_inplace(&mut s_fla, &plan.body).unwrap();
         let c_fln = run_rule_inplace_native(&mut frame, &mut s_fln, &fb).unwrap();
         assert_eq!(c_ast, c_nat, "in-place cost for {}", rule.name);
-        assert_eq!(c_vm, c_nat, "in-place cost vm/native for {}", rule.name);
         assert_eq!(s_ast, s_nat, "in-place state for {}", rule.name);
-        assert_eq!(s_vm, s_nat, "in-place state vm/native for {}", rule.name);
         assert_eq!(c_fla, c_nat, "in-place cost flat-ast for {}", rule.name);
         assert_eq!(c_fln, c_nat, "in-place cost flat-native for {}", rule.name);
         assert_eq!(s_fla, s_fln, "in-place state flat for {}", rule.name);
@@ -2249,7 +2220,7 @@ mod tests {
     }
 
     #[test]
-    fn native_execution_matches_interpreter_and_vm() {
+    fn native_execution_matches_interpreter() {
         let d = d3();
         assert_native_parity(&rule_foo(), &d, |_| {});
         assert_native_parity(&rule_foo(), &d, |s| {
@@ -2404,7 +2375,7 @@ mod tests {
     }
 
     #[test]
-    fn native_inplace_matches_interpreter_and_vm() {
+    fn native_inplace_matches_interpreter() {
         let d = d3();
         assert_inplace_parity(&rule_foo(), &d, |_| {});
         let lg = RuleDef {
@@ -2524,18 +2495,15 @@ mod tests {
     }
 
     #[test]
-    fn coverage_matches_stack_machine() {
-        // localGuard, unelaborated names, and unbound variables fall back
-        // to the interpreter — in both compiled backends.
+    fn unlowerable_constructs_fall_back_to_the_interpreter() {
+        // localGuard, unelaborated names, and unbound variables do not
+        // lower; the schedulers run those rules on the interpreter.
         let lg = Action::LocalGuard(Box::new(Action::NoAction));
         assert!(compile_action(&lg).is_none());
-        assert!(crate::xform::compile_action(&lg).is_none());
         let named = Action::Call(Target::Named("x".into(), "enq".into()), vec![]);
         assert!(compile_action(&named).is_none());
-        assert!(crate::xform::compile_action(&named).is_none());
         let unbound = Expr::Var("nope".into());
         assert!(compile_expr(&unbound).is_none());
-        assert!(crate::xform::compile_expr(&unbound).is_none());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! cycles, which is what stands in for the execution time of the
 //! generated C++ of the paper.
 
-use crate::ast::{Action, Expr, PrimId, PrimMethod, Target};
+use crate::ast::{Action, Expr, Target};
 use crate::error::{ExecError, ExecResult};
 use crate::store::{Cost, ShadowPolicy, Store, Txn};
-use crate::value::{BinOp, UnOp, Value};
+use crate::value::Value;
 
 /// A lexical environment for let-bound variables and method formals.
 #[derive(Debug, Default, Clone)]
@@ -334,403 +334,6 @@ pub fn eval_guard_ro(store: &mut Store, e: &Expr, cost: &mut Cost) -> ExecResult
     match eval_ro(store, &mut env, e, cost) {
         Ok(v) => v.as_bool(),
         Err(ExecError::GuardFail) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compiled execution: a small stack machine over flat instruction streams.
-//
-// The compiler (`crate::xform::compile_expr` / `compile_action`) turns a
-// rule's guard and body into a `Prog` once, at design-compile time:
-// let-bound variables become slot indices, control flow becomes jumps, and
-// every instruction charges exactly the cost the AST interpreter would —
-// the machine changes wall-clock time, never the modeled cycle counts.
-// ---------------------------------------------------------------------------
-
-/// One instruction of the compiled rule format. Operands are pre-resolved:
-/// locals are slot indices, method calls carry `PrimId`s, jump targets are
-/// instruction offsets.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    /// Push a constant.
-    Push(Value),
-    /// Push a copy of a local slot.
-    Load(usize),
-    /// Pop an index (from the index stack) and push a copy of that element
-    /// of a local slot — fused `Load` + `Index`, so the vector itself is
-    /// never cloned onto the stack. Charges one op, like `Index`.
-    LoadIndex(usize),
-    /// Push a copy of one field of a local slot — fused `Load` + `Field`.
-    /// Charges one op, like `Field`.
-    LoadField(usize, String),
-    /// Pop into a local slot.
-    StoreSlot(usize),
-    /// Pop one operand, push the result; charges one op.
-    Un(UnOp),
-    /// Pop two operands, push the result; charges the operator's cost.
-    Bin(BinOp),
-    /// Unconditional jump.
-    Jump(usize),
-    /// Pop a bool, charge one op, jump when false (`Cond`/`If`/`Loop`).
-    BranchFalse(usize),
-    /// Pop a bool, charge one op, guard-fail when false (expression `when`).
-    WhenExpr,
-    /// Pop a bool, charge one op, guard-fail when false (action `when`);
-    /// a failure under `InPlace` is a lifting bug.
-    WhenAct,
-    /// Pop `n` arguments, invoke a value method, push the result.
-    CallValue(PrimId, PrimMethod, usize),
-    /// Pop `n` arguments, invoke an action method.
-    CallAction(PrimId, PrimMethod, usize),
-    /// Pop a value, coerce to an index, push on the index stack.
-    AsIndex,
-    /// Pop a vector and an index, push the element; charges one op.
-    Index,
-    /// Pop a struct, push the named field; charges one op.
-    Field(String),
-    /// Pop `n` elements into a vector; charges `n` ops.
-    MkVec(usize),
-    /// Pop one value per field name into a struct; charges one op per field.
-    MkStruct(Vec<String>),
-    /// Pop the new element, the vector, and an index; push the functionally
-    /// updated vector; charges its length in ops.
-    UpdateIndex,
-    /// Pop the new value and the struct; push the update; charges one op.
-    UpdateField(String),
-    /// Open the isolation frame of a parallel composition's first branch
-    /// ([`Txn::par_start`]).
-    ParStart,
-    /// Switch from the first parallel branch to the second
-    /// ([`Txn::par_mid`]).
-    ParMid,
-    /// Close a parallel composition: double-write check and merge
-    /// ([`Txn::par_end`]).
-    ParEnd,
-    /// Zero a loop-iteration counter (loop entry).
-    CtrReset(usize),
-    /// Bump a loop-iteration counter and fail when it exceeds the
-    /// transaction's loop bound (end of each iteration).
-    CtrIncCheck(usize),
-}
-
-/// A compiled guard or rule body: a flat instruction stream plus the local
-/// slot and loop-counter footprint it needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Prog {
-    /// The instruction stream.
-    pub code: Vec<Instr>,
-    /// Number of local slots (one per `let`, pre-resolved).
-    pub slots: usize,
-    /// Number of loop-iteration counters.
-    pub ctrs: usize,
-}
-
-/// Where a compiled program reads and writes primitives: a transaction for
-/// rule bodies, a bare store for guard evaluation (no shadow frames, no
-/// commit — guards are pure).
-pub trait PrimPort {
-    /// Invokes a value method.
-    fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<Value>;
-    /// Invokes an action method.
-    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<()>;
-    /// The cost counters to charge.
-    fn cost(&mut self) -> &mut Cost;
-    /// The shadow policy in effect (decides how a failing `when` reports).
-    fn policy(&self) -> ShadowPolicy;
-    /// Safety bound on loop iterations.
-    fn loop_bound(&self) -> u64;
-    /// Opens a parallel-branch frame (compiled `Par`). Ports that cannot
-    /// execute actions reject it.
-    ///
-    /// # Errors
-    ///
-    /// `Malformed` where parallel composition is not executable.
-    fn par_start(&mut self) -> ExecResult<()> {
-        Err(ExecError::Malformed(
-            "parallel composition reached a port without transaction frames".into(),
-        ))
-    }
-    /// Switches from the first parallel branch to the second.
-    fn par_mid(&mut self) {}
-    /// Closes a parallel composition (double-write check and merge).
-    ///
-    /// # Errors
-    ///
-    /// `DoubleWrite` when the branches' write sets intersect.
-    fn par_end(&mut self) -> ExecResult<()> {
-        Ok(())
-    }
-}
-
-impl PrimPort for Txn<'_> {
-    fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<Value> {
-        Txn::call_value(self, id, m, args)
-    }
-    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<()> {
-        Txn::call_action(self, id, m, args)
-    }
-    fn cost(&mut self) -> &mut Cost {
-        &mut self.cost
-    }
-    fn policy(&self) -> ShadowPolicy {
-        self.policy
-    }
-    fn loop_bound(&self) -> u64 {
-        self.max_loop_iters
-    }
-    fn par_start(&mut self) -> ExecResult<()> {
-        Txn::par_start(self)
-    }
-    fn par_mid(&mut self) {
-        Txn::par_mid(self);
-    }
-    fn par_end(&mut self) -> ExecResult<()> {
-        Txn::par_end(self)
-    }
-}
-
-/// Read-only port over a committed store for guard evaluation. Skipping
-/// the transaction entirely (no frame stack, no shadow map) is the main
-/// wall-clock win for guards; the metered cost is identical because a
-/// fresh partial-shadow transaction charges nothing until first write.
-pub struct GuardPort<'a> {
-    store: &'a Store,
-    cost: &'a mut Cost,
-}
-
-impl PrimPort for GuardPort<'_> {
-    fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<Value> {
-        self.cost.reads += 1;
-        self.store.call_value_at(id, m, args)
-    }
-    fn call_action(&mut self, _: PrimId, m: PrimMethod, _: &[Value]) -> ExecResult<()> {
-        Err(ExecError::Malformed(format!(
-            "action method `{m:?}` called in a guard expression"
-        )))
-    }
-    fn cost(&mut self) -> &mut Cost {
-        self.cost
-    }
-    fn policy(&self) -> ShadowPolicy {
-        ShadowPolicy::Partial
-    }
-    fn loop_bound(&self) -> u64 {
-        1_000_000
-    }
-}
-
-/// The stack machine. One instance is kept per scheduler and reused across
-/// every guard and body execution, so the value/index stacks and slot
-/// arrays are allocated once and recycled.
-#[derive(Debug, Default)]
-pub struct Vm {
-    stack: Vec<Value>,
-    slots: Vec<Value>,
-    idx: Vec<usize>,
-    ctrs: Vec<u64>,
-}
-
-impl Vm {
-    /// A fresh machine with empty scratch space.
-    pub fn new() -> Vm {
-        Vm::default()
-    }
-
-    /// Runs a compiled program against a port. Returns the value left on
-    /// the stack (an expression program) or `None` (an action program).
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of the AST interpreter on the same program: guard
-    /// failures, type/bounds errors, loop-bound and double-write errors.
-    pub fn run<P: PrimPort>(&mut self, port: &mut P, prog: &Prog) -> ExecResult<Option<Value>> {
-        self.stack.clear();
-        self.idx.clear();
-        self.slots.clear();
-        self.slots.resize(prog.slots, Value::Bool(false));
-        self.ctrs.clear();
-        self.ctrs.resize(prog.ctrs, 0);
-        let mut pc = 0usize;
-        while let Some(instr) = prog.code.get(pc) {
-            match instr {
-                Instr::Push(v) => self.stack.push(v.clone()),
-                Instr::Load(s) => self.stack.push(self.slots[*s].clone()),
-                Instr::LoadIndex(s) => {
-                    let i = self.idx.pop().expect("index stack underflow");
-                    port.cost().ops += 1;
-                    let v = self.slots[*s].index(i)?.clone();
-                    self.stack.push(v);
-                }
-                Instr::LoadField(s, f) => {
-                    port.cost().ops += 1;
-                    let v = self.slots[*s].field(f)?.clone();
-                    self.stack.push(v);
-                }
-                Instr::StoreSlot(s) => self.slots[*s] = self.pop(),
-                Instr::Un(op) => {
-                    let a = self.pop();
-                    port.cost().ops += 1;
-                    self.stack.push(Value::un_op(*op, &a)?);
-                }
-                Instr::Bin(op) => {
-                    let b = self.pop();
-                    let a = self.pop();
-                    port.cost().ops += op.cpu_cost();
-                    self.stack.push(Value::bin_op(*op, &a, &b)?);
-                }
-                Instr::Jump(t) => {
-                    pc = *t;
-                    continue;
-                }
-                Instr::BranchFalse(t) => {
-                    let c = self.pop().as_bool()?;
-                    port.cost().ops += 1;
-                    if !c {
-                        pc = *t;
-                        continue;
-                    }
-                }
-                Instr::WhenExpr => {
-                    let g = self.pop().as_bool()?;
-                    port.cost().ops += 1;
-                    if !g {
-                        return Err(ExecError::GuardFail);
-                    }
-                }
-                Instr::WhenAct => {
-                    let g = self.pop().as_bool()?;
-                    port.cost().ops += 1;
-                    if !g {
-                        return Err(if port.policy() == ShadowPolicy::InPlace {
-                            ExecError::Malformed(
-                                "guard failed during in-place execution (unsound lifting)".into(),
-                            )
-                        } else {
-                            ExecError::GuardFail
-                        });
-                    }
-                }
-                Instr::CallValue(id, m, n) => {
-                    let args = self.stack.split_off(self.stack.len() - n);
-                    let v = port.call_value(*id, *m, &args)?;
-                    self.stack.push(v);
-                }
-                Instr::CallAction(id, m, n) => {
-                    let args = self.stack.split_off(self.stack.len() - n);
-                    port.call_action(*id, *m, &args)?;
-                }
-                Instr::AsIndex => {
-                    let i = self.pop().as_index()?;
-                    self.idx.push(i);
-                }
-                Instr::Index => {
-                    let v = self.pop();
-                    let i = self.idx.pop().expect("index stack underflow");
-                    port.cost().ops += 1;
-                    self.stack.push(v.index(i)?.clone());
-                }
-                Instr::Field(f) => {
-                    let v = self.pop();
-                    port.cost().ops += 1;
-                    self.stack.push(v.field(f)?.clone());
-                }
-                Instr::MkVec(n) => {
-                    let items = self.stack.split_off(self.stack.len() - n);
-                    port.cost().ops += *n as u64;
-                    self.stack.push(Value::Vec(items));
-                }
-                Instr::MkStruct(names) => {
-                    let vals = self.stack.split_off(self.stack.len() - names.len());
-                    port.cost().ops += names.len() as u64;
-                    self.stack
-                        .push(Value::Struct(names.iter().cloned().zip(vals).collect()));
-                }
-                Instr::UpdateIndex => {
-                    let x = self.pop();
-                    let v = self.pop();
-                    let i = self.idx.pop().expect("index stack underflow");
-                    port.cost().ops += v.as_vec().map(|s| s.len() as u64).unwrap_or(1);
-                    self.stack.push(v.update_index(i, x)?);
-                }
-                Instr::UpdateField(f) => {
-                    let x = self.pop();
-                    let v = self.pop();
-                    port.cost().ops += 1;
-                    self.stack.push(v.update_field(f, x)?);
-                }
-                Instr::ParStart => port.par_start()?,
-                Instr::ParMid => port.par_mid(),
-                Instr::ParEnd => port.par_end()?,
-                Instr::CtrReset(k) => self.ctrs[*k] = 0,
-                Instr::CtrIncCheck(k) => {
-                    self.ctrs[*k] += 1;
-                    if self.ctrs[*k] > port.loop_bound() {
-                        return Err(ExecError::Malformed(format!(
-                            "loop exceeded {} iterations",
-                            port.loop_bound()
-                        )));
-                    }
-                }
-            }
-            pc += 1;
-        }
-        Ok(self.stack.pop())
-    }
-
-    fn pop(&mut self) -> Value {
-        self.stack.pop().expect("value stack underflow")
-    }
-}
-
-/// Compiled counterpart of [`eval_guard_ro`]: evaluates a guard program
-/// directly against the committed store, folding guard failures to
-/// `Ok(false)`. Charges identical cost to the AST path.
-pub fn eval_guard_compiled(
-    vm: &mut Vm,
-    store: &Store,
-    prog: &Prog,
-    cost: &mut Cost,
-) -> ExecResult<bool> {
-    cost.guard_evals += 1;
-    let mut port = GuardPort { store, cost };
-    match vm.run(&mut port, prog) {
-        Ok(Some(v)) => v.as_bool(),
-        Ok(None) => Err(ExecError::Malformed(
-            "guard program left no value on the stack".into(),
-        )),
-        Err(ExecError::GuardFail) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// Compiled counterpart of [`run_rule`]: executes a body program as a
-/// transaction, committing on success and rolling back on guard failure.
-pub fn run_rule_compiled(
-    vm: &mut Vm,
-    store: &mut Store,
-    prog: &Prog,
-    policy: ShadowPolicy,
-) -> ExecResult<(RuleOutcome, Cost)> {
-    let mut txn = Txn::new(store, policy);
-    txn.cost.txn_setups += 1;
-    match vm.run(&mut txn, prog) {
-        Ok(_) => Ok((RuleOutcome::Fired, txn.commit())),
-        Err(ExecError::GuardFail) => Ok((RuleOutcome::GuardFailed, txn.rollback())),
-        Err(e) => Err(e),
-    }
-}
-
-/// Compiled counterpart of [`run_rule_inplace`]: executes a fully
-/// guard-lifted body program straight against the committed store.
-pub fn run_rule_inplace_compiled(vm: &mut Vm, store: &mut Store, prog: &Prog) -> ExecResult<Cost> {
-    let mut txn = Txn::new(store, ShadowPolicy::InPlace);
-    txn.cost.inplace_runs += 1;
-    match vm.run(&mut txn, prog) {
-        Ok(_) => Ok(txn.commit()),
-        Err(ExecError::GuardFail) => Err(ExecError::Malformed(
-            "guard failure during in-place execution (unsound lifting)".into(),
-        )),
         Err(e) => Err(e),
     }
 }

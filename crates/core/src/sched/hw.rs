@@ -143,9 +143,10 @@ pub struct HwOptions {
     /// oracle and benchmark baseline).
     pub event_driven: bool,
     /// Execute guards and bodies through the closure-threaded native
-    /// backend ([`crate::compile`]) instead of the stack-machine
-    /// [`Vm`](crate::exec::Vm). Observable behavior (firings, cycles,
-    /// state) is bit-identical; only wall-clock time changes.
+    /// backend ([`crate::compile`]), lowered once for the simulator's
+    /// store kind; `false` runs the AST interpreter, the reference
+    /// executor. Observable behavior (firings, cycles, state) is
+    /// bit-identical; only wall-clock time changes.
     pub compiled: bool,
 }
 
@@ -153,7 +154,7 @@ impl Default for HwOptions {
     fn default() -> HwOptions {
         HwOptions {
             event_driven: true,
-            compiled: false,
+            compiled: true,
         }
     }
 }
@@ -193,7 +194,7 @@ impl HwSim {
     }
 
     /// Builds a simulator over an existing store, with the default
-    /// [`HwOptions`] (event-driven, stack machine).
+    /// [`HwOptions`] (event-driven, native rules).
     ///
     /// # Errors
     ///
@@ -225,7 +226,7 @@ impl HwSim {
         );
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        let exec = Executor::new(&plans, design, &store, opts.event_driven, opts.compiled);
+        let exec = Executor::new(&plans, design, &store, opts.compiled);
         Ok(HwSim {
             plans,
             conflicts: ConflictInfo::of_design(design),

@@ -19,25 +19,21 @@ use crate::ast::{Action, Expr};
 use crate::compile::{compile_plans_for, NativeFrame, NativeRule};
 use crate::design::Design;
 use crate::error::ExecResult;
-use crate::exec::{
-    eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, run_rule_inplace,
-    run_rule_inplace_compiled, RuleOutcome, Vm,
-};
+use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace, RuleOutcome};
 use crate::store::{Cost, ShadowPolicy, Store};
-use crate::xform::{RulePlan, RuleProgs};
+use crate::xform::RulePlan;
 
 /// The one executable form a scheduler runs its rules through, chosen
-/// and built at construction: no other form is lowered. Every executor
-/// is bit- and cycle-identical in verdicts, state and metered costs (the
+/// and built at construction: no other form is lowered. Both executors
+/// are bit- and cycle-identical in verdicts, state and metered costs (the
 /// fuzz farm proves it); only wall-clock time differs.
 #[derive(Debug)]
 enum Executor {
-    /// The AST interpreter alone: the naive reference mode.
+    /// The AST interpreter: the reference executor.
     Interp,
-    /// The stack-machine [`Vm`], one program pair per rule.
-    Vm { vm: Vm, progs: Vec<RuleProgs> },
     /// Closure-threaded native rules, lowered for the store kind the
-    /// scheduler was built over ([`compile_plans_for`]).
+    /// scheduler was built over ([`compile_plans_for`]): the production
+    /// executor.
     Native {
         frame: NativeFrame,
         natives: Vec<NativeRule>,
@@ -45,24 +41,12 @@ enum Executor {
 }
 
 impl Executor {
-    /// `compiled` selects native rules; otherwise event-driven
-    /// scheduling runs the Vm and the naive mode the interpreter.
-    fn new(
-        plans: &[RulePlan],
-        design: &Design,
-        store: &Store,
-        event_driven: bool,
-        compiled: bool,
-    ) -> Executor {
+    /// `compiled` selects native rules; otherwise the interpreter.
+    fn new(plans: &[RulePlan], design: &Design, store: &Store, compiled: bool) -> Executor {
         if compiled {
             Executor::Native {
                 frame: NativeFrame::new(),
                 natives: compile_plans_for(plans, design, store),
-            }
-        } else if event_driven {
-            Executor::Vm {
-                vm: Vm::default(),
-                progs: plans.iter().map(RuleProgs::of).collect(),
             }
         } else {
             Executor::Interp
@@ -78,10 +62,6 @@ impl Executor {
         cost: &mut Cost,
     ) -> ExecResult<bool> {
         match self {
-            Executor::Vm { vm, progs } => match &progs[i].guard {
-                Some(p) => eval_guard_compiled(vm, store, p, cost),
-                None => eval_guard_ro(store, g, cost),
-            },
             Executor::Native { frame, natives } => natives[i].eval_guard(frame, store, g, cost),
             Executor::Interp => eval_guard_ro(store, g, cost),
         }
@@ -96,10 +76,6 @@ impl Executor {
         policy: ShadowPolicy,
     ) -> ExecResult<(RuleOutcome, Cost)> {
         match self {
-            Executor::Vm { vm, progs } => match &progs[i].body {
-                Some(p) => run_rule_compiled(vm, store, p, policy),
-                None => run_rule(store, body, policy),
-            },
             Executor::Native { frame, natives } => natives[i].run(frame, store, body, policy),
             Executor::Interp => run_rule(store, body, policy),
         }
@@ -108,10 +84,6 @@ impl Executor {
     /// Executes rule `i`'s fully guard-lifted body in place.
     fn run_inplace(&mut self, i: usize, store: &mut Store, body: &Action) -> ExecResult<Cost> {
         match self {
-            Executor::Vm { vm, progs } => match &progs[i].body {
-                Some(p) => run_rule_inplace_compiled(vm, store, p),
-                None => run_rule_inplace(store, body),
-            },
             Executor::Native { frame, natives } => natives[i].run_inplace(frame, store, body),
             Executor::Interp => run_rule_inplace(store, body),
         }

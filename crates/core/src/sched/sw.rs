@@ -37,34 +37,29 @@ pub enum Strategy {
 
 /// The executor/store combination a run should use — a shorthand over
 /// the [`SwOptions`] `event_driven`/`flat`/`compiled` flags for callers
-/// (benchmarks, tests) that sweep backends. Every backend is bit- and
+/// (benchmarks, tests) that sweep backends. Both backends are bit- and
 /// cycle-identical in results and metered costs; only wall-clock
 /// simulator time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// Naive reference scheduler (every guard re-evaluated every step)
-    /// on the tree store.
+    /// The reference: naive scheduler (every guard re-evaluated every
+    /// step) driving the AST interpreter on the tree store.
     Naive,
-    /// Event-driven scheduler driving the stack-machine
-    /// [`Vm`](crate::exec::Vm) on the tree store.
-    Event,
-    /// Event-driven scheduler driving the [`Vm`](crate::exec::Vm) on the
-    /// bit-packed flat arena store.
-    Flat,
-    /// Event-driven scheduler driving closure-threaded native rules
-    /// ([`crate::compile`]) on the flat arena store.
+    /// The production path: event-driven scheduler driving
+    /// closure-threaded native rules ([`crate::compile`]) on the flat
+    /// arena store.
     Compiled,
 }
 
 impl ExecBackend {
     /// The [`SwOptions::event_driven`] flag for this backend.
     pub fn event_driven(self) -> bool {
-        self != ExecBackend::Naive
+        self == ExecBackend::Compiled
     }
 
     /// The [`SwOptions::flat`] flag for this backend.
     pub fn flat(self) -> bool {
-        matches!(self, ExecBackend::Flat | ExecBackend::Compiled)
+        self == ExecBackend::Compiled
     }
 
     /// The [`SwOptions::compiled`] flag for this backend.
@@ -94,13 +89,14 @@ pub struct SwOptions {
     /// Back the runner's store with the bit-packed arena representation
     /// ([`Store::new_flat`]) instead of the tree-of-`Value` reference
     /// store. Semantics, metered costs, and error texts are identical —
-    /// the fuzz farm proves it — only wall-clock time changes.
+    /// the fuzz farm proves it — only wall-clock time changes. Off by
+    /// default because [`Store::state`] reads the tree store only.
     pub flat: bool,
     /// Execute rules through the closure-threaded native backend
-    /// ([`crate::compile`]) instead of the stack-machine
-    /// [`Vm`](crate::exec::Vm). Metered costs, verdicts, and error texts
-    /// are bit-identical to both interpreters (the fuzz farm's sixth leg
-    /// proves it); only wall-clock time changes.
+    /// ([`crate::compile`]), lowered once for this runner's store kind;
+    /// `false` runs the AST interpreter, the reference executor. Metered
+    /// costs, verdicts, and error texts are bit-identical either way (the
+    /// fuzz farm proves it); only wall-clock time changes.
     pub compiled: bool,
 }
 
@@ -113,7 +109,7 @@ impl Default for SwOptions {
             model: CostModel::default(),
             event_driven: true,
             flat: false,
-            compiled: false,
+            compiled: true,
         }
     }
 }
@@ -236,7 +232,7 @@ impl SwRunner {
         let plans = compile_design(design, opts.compile);
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        let exec = Executor::new(&plans, design, &store, opts.event_driven, opts.compiled);
+        let exec = Executor::new(&plans, design, &store, opts.compiled);
         SwRunner {
             plans,
             succ: successors(design),
@@ -583,40 +579,13 @@ mod tests {
         }
     }
 
+    /// Every scheduler × store × executor combination lands on the
+    /// naive tree-store interpreter's outputs and report exactly.
     #[test]
-    fn flat_store_is_cycle_identical() {
-        for event_driven in [false, true] {
-            let mut runs = Vec::new();
-            for flat in [false, true] {
-                let d = pipeline();
-                let mut store = Store::new_like(&d, flat);
-                for i in 0..5 {
-                    store.push_source(PrimId(0), Value::int(32, i));
-                }
-                let opts = SwOptions {
-                    event_driven,
-                    flat,
-                    ..Default::default()
-                };
-                let mut r = SwRunner::with_store(&d, store, opts);
-                r.run_until_quiescent(1000).unwrap();
-                let out: Vec<i64> = r
-                    .store
-                    .sink_values(PrimId(2))
-                    .iter()
-                    .map(|v| v.as_int().unwrap())
-                    .collect();
-                runs.push((out, r.report()));
-            }
-            assert_eq!(runs[0], runs[1], "event_driven={event_driven}");
-        }
-    }
-
-    #[test]
-    fn compiled_backend_is_cycle_identical() {
+    fn every_backend_is_cycle_identical() {
+        let mut runs = Vec::new();
         for event_driven in [false, true] {
             for flat in [false, true] {
-                let mut runs = Vec::new();
                 for compiled in [false, true] {
                     let d = pipeline();
                     let mut store = Store::new_like(&d, flat);
@@ -637,10 +606,13 @@ mod tests {
                         .iter()
                         .map(|v| v.as_int().unwrap())
                         .collect();
-                    runs.push((out, r.report()));
+                    runs.push(((event_driven, flat, compiled), out, r.report()));
                 }
-                assert_eq!(runs[0], runs[1], "event_driven={event_driven} flat={flat}");
             }
+        }
+        let (_, out0, report0) = &runs[0];
+        for (cfg, out, report) in &runs[1..] {
+            assert_eq!((out, report), (out0, report0), "{cfg:?}");
         }
     }
 

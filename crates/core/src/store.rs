@@ -2020,11 +2020,11 @@ impl<'s> Txn<'s> {
     }
 
     /// Compiled-execution counterpart of [`Txn::run_par`], step one of
-    /// three: opens the isolation frame for the first branch. The VM
-    /// emits `par_start` / `par_mid` / `par_end` around the two branches
-    /// of a compiled `Par`; together they perform exactly the frame
-    /// discipline of [`Txn::run_par_ctx`], so modeled costs and outcomes
-    /// are identical to the interpreter's.
+    /// three: opens the isolation frame for the first branch. The
+    /// compiled backend calls `par_start` / `par_mid` / `par_end` around
+    /// the two branches of a lowered `Par`; together they perform exactly
+    /// the frame discipline of [`Txn::run_par_ctx`], so modeled costs and
+    /// outcomes are identical to the interpreter's.
     ///
     /// # Errors
     ///

@@ -14,8 +14,7 @@
 //!   ([`ExecMode::InPlace`]) whenever it is sound.
 
 use crate::analysis::RwSet;
-use crate::ast::{Action, Expr, PrimId, PrimMethod, RuleDef, Target};
-use crate::exec::{Instr, Prog};
+use crate::ast::{Action, Expr, PrimMethod, RuleDef, Target};
 use crate::value::Value;
 use std::collections::BTreeSet;
 
@@ -43,30 +42,6 @@ pub struct RulePlan {
     pub mode: ExecMode,
     /// True if guards may still fail inside `body`.
     pub residual: bool,
-}
-
-/// A plan's guard and body compiled to stack-machine programs. Only the
-/// Vm executor builds these ([`RuleProgs::of`]); the native and
-/// interpreter executors never pay for them.
-#[derive(Debug, Clone, Default)]
-pub struct RuleProgs {
-    /// The lifted guard's program (`None` when there is no guard or it
-    /// references unelaborated names).
-    pub guard: Option<Prog>,
-    /// The body's program (`None` when the body needs constructs the
-    /// machine does not model — `localGuard`, unelaborated names — and
-    /// falls back to the interpreter).
-    pub body: Option<Prog>,
-}
-
-impl RuleProgs {
-    /// Compiles a plan's guard and body.
-    pub fn of(plan: &RulePlan) -> RuleProgs {
-        RuleProgs {
-            guard: plan.guard.as_ref().and_then(compile_expr),
-            body: compile_action(&plan.body),
-        }
-    }
 }
 
 /// Options controlling rule compilation — each §6.3 optimization can be
@@ -551,277 +526,6 @@ fn inplace_ok(a: &Action) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bytecode compilation: AST → flat instruction stream (see `crate::exec`).
-// ---------------------------------------------------------------------------
-
-/// Compile-time state for one program: emitted code plus a lexical scope
-/// mapping let-bound names to pre-resolved slot indices. Compilation
-/// returns `None` for programs the stack machine does not model; the
-/// schedulers then fall back to the AST interpreter for that rule.
-struct ProgBuilder {
-    code: Vec<Instr>,
-    scope: Vec<(String, usize)>,
-    slots: usize,
-    ctrs: usize,
-}
-
-impl ProgBuilder {
-    fn new() -> ProgBuilder {
-        ProgBuilder {
-            code: Vec::new(),
-            scope: Vec::new(),
-            slots: 0,
-            ctrs: 0,
-        }
-    }
-
-    fn finish(self) -> Prog {
-        Prog {
-            code: self.code,
-            slots: self.slots,
-            ctrs: self.ctrs,
-        }
-    }
-
-    fn lookup(&self, n: &str) -> Option<usize> {
-        self.scope
-            .iter()
-            .rev()
-            .find(|(name, _)| name == n)
-            .map(|(_, s)| *s)
-    }
-
-    fn branch_hole(&mut self) -> usize {
-        self.code.push(Instr::BranchFalse(usize::MAX));
-        self.code.len() - 1
-    }
-
-    fn jump_hole(&mut self) -> usize {
-        self.code.push(Instr::Jump(usize::MAX));
-        self.code.len() - 1
-    }
-
-    /// Points a previously emitted hole at the next instruction.
-    fn patch_here(&mut self, at: usize) {
-        let target = self.code.len();
-        match &mut self.code[at] {
-            Instr::Jump(t) | Instr::BranchFalse(t) => *t = target,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
-    }
-
-    /// Emission order mirrors the interpreter's evaluation order exactly,
-    /// including where each op is charged — cost parity is load-bearing
-    /// (the cycle-regression pins depend on it).
-    fn expr(&mut self, e: &Expr) -> Option<()> {
-        match e {
-            Expr::Const(v) => self.code.push(Instr::Push(v.clone())),
-            Expr::Var(n) => {
-                let s = self.lookup(n)?;
-                self.code.push(Instr::Load(s));
-            }
-            Expr::Un(op, a) => {
-                self.expr(a)?;
-                self.code.push(Instr::Un(*op));
-            }
-            Expr::Bin(op, a, b) => {
-                self.expr(a)?;
-                self.expr(b)?;
-                self.code.push(Instr::Bin(*op));
-            }
-            Expr::Cond(c, t, f) => {
-                self.expr(c)?;
-                let br = self.branch_hole();
-                self.expr(t)?;
-                let jm = self.jump_hole();
-                self.patch_here(br);
-                self.expr(f)?;
-                self.patch_here(jm);
-            }
-            Expr::When(v, g) => {
-                // The guard is evaluated first, like the interpreter.
-                self.expr(g)?;
-                self.code.push(Instr::WhenExpr);
-                self.expr(v)?;
-            }
-            Expr::Let(n, v, b) => {
-                self.expr(v)?;
-                let slot = self.slots;
-                self.slots += 1;
-                self.code.push(Instr::StoreSlot(slot));
-                self.scope.push((n.clone(), slot));
-                let r = self.expr(b);
-                self.scope.pop();
-                r?;
-            }
-            Expr::Call(t, args) => {
-                let (id, m) = prim_target(t)?;
-                for a in args {
-                    self.expr(a)?;
-                }
-                self.code.push(Instr::CallValue(id, m, args.len()));
-            }
-            Expr::Index(v, i) => {
-                // Indexing a let-bound vector is fused into `LoadIndex` so
-                // the element is copied straight out of the slot — the
-                // dominant pattern in unrolled kernels (`x[i]` repeated per
-                // element), where the plain Load+Index sequence would clone
-                // the whole vector once per access. `Var` evaluation is
-                // infallible, so hoisting it past the index expression
-                // cannot reorder failures; charged cost is identical.
-                if let Expr::Var(n) = v.as_ref() {
-                    let s = self.lookup(n)?;
-                    self.expr(i)?;
-                    self.code.push(Instr::AsIndex);
-                    self.code.push(Instr::LoadIndex(s));
-                } else {
-                    self.expr(v)?;
-                    self.expr(i)?;
-                    self.code.push(Instr::AsIndex);
-                    self.code.push(Instr::Index);
-                }
-            }
-            Expr::Field(v, f) => {
-                if let Expr::Var(n) = v.as_ref() {
-                    let s = self.lookup(n)?;
-                    self.code.push(Instr::LoadField(s, f.clone()));
-                } else {
-                    self.expr(v)?;
-                    self.code.push(Instr::Field(f.clone()));
-                }
-            }
-            Expr::MkVec(es) => {
-                for e in es {
-                    self.expr(e)?;
-                }
-                self.code.push(Instr::MkVec(es.len()));
-            }
-            Expr::MkStruct(fs) => {
-                for (_, e) in fs {
-                    self.expr(e)?;
-                }
-                self.code
-                    .push(Instr::MkStruct(fs.iter().map(|(n, _)| n.clone()).collect()));
-            }
-            Expr::UpdateIndex(v, i, x) => {
-                self.expr(v)?;
-                self.expr(i)?;
-                self.code.push(Instr::AsIndex);
-                self.expr(x)?;
-                self.code.push(Instr::UpdateIndex);
-            }
-            Expr::UpdateField(v, f, x) => {
-                self.expr(v)?;
-                self.expr(x)?;
-                self.code.push(Instr::UpdateField(f.clone()));
-            }
-        }
-        Some(())
-    }
-
-    fn action(&mut self, a: &Action) -> Option<()> {
-        match a {
-            Action::NoAction => {}
-            Action::Write(t, e) => {
-                let (id, m) = prim_target(t)?;
-                self.expr(e)?;
-                self.code.push(Instr::CallAction(id, m, 1));
-            }
-            Action::Call(t, args) => {
-                let (id, m) = prim_target(t)?;
-                for x in args {
-                    self.expr(x)?;
-                }
-                self.code.push(Instr::CallAction(id, m, args.len()));
-            }
-            Action::If(c, th, el) => {
-                self.expr(c)?;
-                let br = self.branch_hole();
-                self.action(th)?;
-                let jm = self.jump_hole();
-                self.patch_here(br);
-                self.action(el)?;
-                self.patch_here(jm);
-            }
-            Action::Seq(x, y) => {
-                self.action(x)?;
-                self.action(y)?;
-            }
-            Action::When(g, x) => {
-                self.expr(g)?;
-                self.code.push(Instr::WhenAct);
-                self.action(x)?;
-            }
-            Action::Let(n, e, x) => {
-                self.expr(e)?;
-                let slot = self.slots;
-                self.slots += 1;
-                self.code.push(Instr::StoreSlot(slot));
-                self.scope.push((n.clone(), slot));
-                let r = self.action(x);
-                self.scope.pop();
-                r?;
-            }
-            Action::Loop(c, body) => {
-                let k = self.ctrs;
-                self.ctrs += 1;
-                self.code.push(Instr::CtrReset(k));
-                let head = self.code.len();
-                self.expr(c)?;
-                let br = self.branch_hole();
-                self.action(body)?;
-                // The interpreter bumps and checks the bound after each
-                // body execution, before the next condition evaluation.
-                self.code.push(Instr::CtrIncCheck(k));
-                self.code.push(Instr::Jump(head));
-                self.patch_here(br);
-            }
-            Action::Par(x, y) => {
-                // Compiled parallel composition mirrors the interpreter's
-                // frame discipline through the port: isolate the first
-                // branch, stash its frame, isolate the second, then
-                // double-write-check and merge.
-                self.code.push(Instr::ParStart);
-                self.action(x)?;
-                self.code.push(Instr::ParMid);
-                self.action(y)?;
-                self.code.push(Instr::ParEnd);
-            }
-            // localGuard absorbs guard failures into a discardable frame,
-            // which needs catch semantics the machine does not model; it
-            // stays on the interpreter.
-            Action::LocalGuard(..) => return None,
-        }
-        Some(())
-    }
-}
-
-fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
-    match t {
-        Target::Prim(id, m) => Some((*id, *m)),
-        Target::Named(..) => None,
-    }
-}
-
-/// Compiles an expression (typically a lifted guard) into a stack-machine
-/// program. `None` when it references unelaborated names or free
-/// variables — callers fall back to the AST interpreter.
-pub fn compile_expr(e: &Expr) -> Option<Prog> {
-    let mut b = ProgBuilder::new();
-    b.expr(e)?;
-    Some(b.finish())
-}
-
-/// Compiles a rule body into a stack-machine program, or `None` if it
-/// uses constructs the machine does not model (`Par`, `localGuard`,
-/// unelaborated names).
-pub fn compile_action(a: &Action) -> Option<Prog> {
-    let mut b = ProgBuilder::new();
-    b.action(a)?;
-    Some(b.finish())
-}
-
 /// Compiles a rule into an executable plan under the given options.
 pub fn compile_rule(rule: &RuleDef, opts: CompileOpts) -> RulePlan {
     if !opts.lift {
@@ -1160,33 +864,36 @@ mod tests {
         assert_eq!(s_plan, s_ref, "state mismatch for {}", rule.name);
     }
 
-    /// Bit-for-bit parity between the stack machine and the AST
+    /// Bit-for-bit parity between the native closures and the AST
     /// interpreter: same verdicts, same final state, same *cost counters*
     /// (the cycle-regression pins depend on the latter).
     fn assert_compiled_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
-        use crate::exec::{eval_guard_compiled, eval_guard_ro, run_rule_compiled, Vm};
+        use crate::compile::{
+            compile_action, compile_expr, eval_guard_native, run_rule_native, NativeFrame,
+        };
+        use crate::exec::eval_guard_ro;
         use crate::store::Cost;
         let plan = compile_rule(rule, CompileOpts::default());
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
-        let mut s_vm = s_ast.clone();
-        let mut vm = Vm::new();
+        let mut s_nat = s_ast.clone();
+        let mut frame = NativeFrame::new();
         if let Some(g) = &plan.guard {
-            let prog = compile_expr(g).expect("guard compiles");
+            let cg = compile_expr(g).expect("guard lowers");
             let mut c_ast = Cost::default();
-            let mut c_vm = Cost::default();
+            let mut c_nat = Cost::default();
             let v_ast = eval_guard_ro(&mut s_ast, g, &mut c_ast).unwrap();
-            let v_vm = eval_guard_compiled(&mut vm, &s_vm, &prog, &mut c_vm).unwrap();
-            assert_eq!(v_ast, v_vm, "guard verdict for {}", rule.name);
-            assert_eq!(c_ast, c_vm, "guard cost for {}", rule.name);
+            let v_nat = eval_guard_native(&mut frame, &s_nat, &cg, &mut c_nat).unwrap();
+            assert_eq!(v_ast, v_nat, "guard verdict for {}", rule.name);
+            assert_eq!(c_ast, c_nat, "guard cost for {}", rule.name);
         }
-        let prog = compile_action(&plan.body).expect("body compiles");
+        let cb = compile_action(&plan.body).expect("body lowers");
         let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
-        let (out_vm, cost_vm) =
-            run_rule_compiled(&mut vm, &mut s_vm, &prog, ShadowPolicy::Partial).unwrap();
-        assert_eq!(out_ast, out_vm, "outcome for {}", rule.name);
-        assert_eq!(cost_ast, cost_vm, "body cost for {}", rule.name);
-        assert_eq!(s_ast, s_vm, "state for {}", rule.name);
+        let (out_nat, cost_nat) =
+            run_rule_native(&mut frame, &mut s_nat, &cb, ShadowPolicy::Partial).unwrap();
+        assert_eq!(out_ast, out_nat, "outcome for {}", rule.name);
+        assert_eq!(cost_ast, cost_nat, "body cost for {}", rule.name);
+        assert_eq!(s_ast, s_nat, "state for {}", rule.name);
     }
 
     #[test]
@@ -1306,23 +1013,6 @@ mod tests {
                 .call_action(PrimMethod::Enq, &[Value::int(32, 5)])
                 .unwrap();
         });
-    }
-
-    #[test]
-    fn par_body_compiles_with_frame_instructions() {
-        // A true swap cannot be sequentialized, so the plan keeps the
-        // parallel body — and the compiled program mirrors it with
-        // par_start/par_mid/par_end frame isolation.
-        let swap = RuleDef {
-            name: "swap".into(),
-            body: Action::Par(Box::new(wr(A, rd(B))), Box::new(wr(B, rd(A)))),
-        };
-        let plan = compile_rule(&swap, CompileOpts::default());
-        assert!(matches!(plan.body, Action::Par(..)));
-        let prog = compile_action(&plan.body).expect("Par compiles");
-        assert!(prog.code.contains(&Instr::ParStart));
-        assert!(prog.code.contains(&Instr::ParMid));
-        assert!(prog.code.contains(&Instr::ParEnd));
     }
 
     #[test]

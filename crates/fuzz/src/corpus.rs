@@ -16,7 +16,7 @@
 use bcl_core::domain::SW;
 use bcl_core::partition::{fuse_partitioned, partition};
 use bcl_core::prim::PrimSpec;
-use bcl_core::sched::{SwOptions, SwRunner};
+use bcl_core::sched::{ExecBackend, SwOptions, SwRunner};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_core::{analysis, elaborate, Design, PrimId};
@@ -47,11 +47,13 @@ fn source_width(d: &Design, id: PrimId) -> Result<u32, String> {
 
 /// Runs a design on a [`SwRunner`] with preloaded sources and returns
 /// the per-sink output streams, keyed by sink path.
-fn run_sw(d: &Design, event_driven: bool) -> Result<BTreeMap<String, Vec<i64>>, String> {
+fn run_sw(d: &Design, backend: ExecBackend) -> Result<BTreeMap<String, Vec<i64>>, String> {
     let mut r = SwRunner::new(
         d,
         SwOptions {
-            event_driven,
+            event_driven: backend.event_driven(),
+            flat: backend.flat(),
+            compiled: backend.compiled(),
             ..SwOptions::default()
         },
     );
@@ -95,27 +97,27 @@ pub fn replay(src: &str) -> Result<(), String> {
         format!("validate: {}", msgs.join("; "))
     })?;
 
-    // Executors A and B: naive and event-driven software.
-    let naive = run_sw(&design, false)?;
-    let event = run_sw(&design, true)?;
-    if naive != event {
+    // The reference and the production executor.
+    let naive = run_sw(&design, ExecBackend::Naive)?;
+    let compiled = run_sw(&design, ExecBackend::Compiled)?;
+    if naive != compiled {
         return Err(format!(
-            "event-driven Vm disagrees with naive interpreter:\n  naive {naive:?}\n  \
-             event {event:?}"
+            "compiled backend disagrees with naive interpreter:\n  naive {naive:?}\n  \
+             compiled {compiled:?}"
         ));
     }
 
-    // Executor C: fused single-process design.
+    // Fused single-process design.
     let parts = partition(&design, SW).map_err(|e| format!("partition: {e}"))?;
     let fused = fuse_partitioned(&parts).map_err(|e| format!("fuse: {e}"))?;
-    let fused_out = run_sw(&fused.design, true)?;
+    let fused_out = run_sw(&fused.design, ExecBackend::Compiled)?;
     if fused_out != naive {
         return Err(format!(
             "fused design disagrees:\n  fused {fused_out:?}\n  naive {naive:?}"
         ));
     }
 
-    // Executor D: fault-free N-partition co-simulation.
+    // Fault-free N-partition co-simulation.
     let hw = parts.hw_domains(SW);
     let cfgs: Vec<HwPartitionCfg> = hw.iter().map(|d| HwPartitionCfg::new(d)).collect();
     let mut cs = Cosim::multi(

@@ -1,31 +1,28 @@
-//! The differential harness: one generated design, seven executor legs,
+//! The differential harness: one generated design, six executor legs,
 //! one verdict.
 //!
 //! [`run_case`] pushes a spec through the full toolchain and then runs
 //! the elaborated design on every executor the workspace has:
 //!
-//! 1. the naive interpreter (`SwRunner` with `event_driven: false`),
-//! 2. the event-driven Vm (`event_driven: true`), which must match the
-//!    naive run *cycle-identically* (same `cpu_cycles`, same per-rule
-//!    firing counts), not just value-identically,
-//! 3. the fused single-process design (`fuse_partitioned`),
-//! 4. the N-partition co-simulation under the given fault plan,
-//! 5. the flat arena store (`SwOptions { flat: true }`): naive and
-//!    event-driven software runs plus a flat-backed co-simulation, each
-//!    of which must be bit- and cycle-identical to its tree-backed twin,
-//!    and
-//! 6. the closure-threaded native backend (`SwOptions { compiled: true
-//!    }`): compiled naive and compiled event-driven software runs plus a
-//!    compiled co-simulation, each bit- and cycle-identical to its
-//!    interpreted twin, and
-//! 7. the word path (`compiled: true, flat: true`): the same native
-//!    closures over the flat arena, with scalar port traffic running as
-//!    unboxed `u64` words — again bit- and cycle-identical.
+//! 1. the naive interpreter (`SwRunner` with `event_driven: false`,
+//!    `compiled: false`), the reference every other leg is held to,
+//! 2. the fused single-process design (`fuse_partitioned`),
+//! 3. the N-partition co-simulation under the given fault plan, with
+//!    event-driven scheduling on the interpreter,
+//! 4. the flat arena store (`SwOptions { flat: true }`) under the naive
+//!    interpreter, which must be bit- and cycle-identical to leg 1,
+//! 5. the closure-threaded native backend (`SwOptions { compiled: true
+//!    }`): compiled naive and compiled event-driven software runs, each
+//!    bit- and cycle-identical to leg 1, plus a compiled co-simulation
+//!    cycle-identical to leg 3, and
+//! 6. the production path (`compiled: true, flat: true`): the same
+//!    native closures over the flat arena, with scalar port traffic
+//!    running as unboxed `u64` words — again bit- and cycle-identical.
 //!
 //! All output streams must equal the spec's gold model bit-for-bit. For
-//! fault-free plans the co-simulation additionally runs in both
-//! event-driven and naive hardware modes and the modeled FPGA cycle
-//! counts must agree exactly.
+//! fault-free plans the co-simulation additionally runs with naive
+//! hardware scheduling and the modeled FPGA cycle counts must agree
+//! exactly.
 //!
 //! Failures come back as `Err(String)` with the pretty-printed program
 //! embedded, so a failing case can be promoted into `tests/corpus/`
@@ -123,7 +120,7 @@ fn run_case_inner(
 
     let gold = expected_outputs(spec);
 
-    // Executor A: naive interpreter.
+    // Leg 1: naive interpreter.
     let naive = run_sw(&design, spec, false)?;
     let got_a = sink_ints(&design, &naive, "snk")?;
     if got_a != gold {
@@ -131,84 +128,51 @@ fn run_case_inner(
             "naive interpreter disagrees with gold model:\n  got  {got_a:?}\n  want {gold:?}"
         ));
     }
+    let ra = naive.report();
 
-    // Executor B: event-driven Vm — value- and cycle-identical to A.
-    let event = run_sw(&design, spec, true)?;
-    let got_b = sink_ints(&design, &event, "snk")?;
-    if got_b != gold {
+    // Leg 4: the flat arena store under the naive interpreter — equal
+    // sink stream and equal SwReport (per-rule firing counts and
+    // modeled cpu_cycles) to leg 1.
+    let flat_run = run_sw_on(&design, spec, false, true, false)?;
+    let got = sink_ints(&design, &flat_run, "snk")?;
+    if got != gold {
         return Err(format!(
-            "event-driven Vm disagrees with gold model:\n  got  {got_b:?}\n  want {gold:?}"
+            "flat store disagrees with gold model:\n  got  {got:?}\n  want {gold:?}"
         ));
     }
-    let (ra, rb) = (naive.report(), event.report());
-    if ra != rb {
+    let rf = flat_run.report();
+    if rf != ra {
         return Err(format!(
-            "event-driven Vm is not cycle-identical to the naive interpreter:\n  \
-             naive {ra:?}\n  event {rb:?}"
+            "flat store is not cycle-identical to the tree store:\n  \
+             tree {ra:?}\n  flat {rf:?}"
         ));
     }
 
-    // Executor E (software half): the flat arena store, in both guard
-    // scheduling modes. Each run must be bit- and cycle-identical to
-    // its tree-backed twin — equal sink streams and equal SwReports
-    // (per-rule firing counts and modeled cpu_cycles).
-    for (event_driven, tree_report) in [(false, &ra), (true, &rb)] {
-        let flat_run = run_sw_on(&design, spec, event_driven, true, false)?;
-        let got = sink_ints(&design, &flat_run, "snk")?;
-        if got != gold {
-            return Err(format!(
-                "flat store (event_driven={event_driven}) disagrees with gold model:\n  \
-                 got  {got:?}\n  want {gold:?}"
-            ));
-        }
-        let rf = flat_run.report();
-        if rf != *tree_report {
-            return Err(format!(
-                "flat store (event_driven={event_driven}) is not cycle-identical to the \
-                 tree store:\n  tree {tree_report:?}\n  flat {rf:?}"
-            ));
-        }
-    }
-
-    // Executor F (software half): the closure-threaded native backend,
-    // in both guard scheduling modes. Each run must be bit- and
-    // cycle-identical to its interpreted twin.
-    for (event_driven, tree_report) in [(false, &ra), (true, &rb)] {
-        let native_run = run_sw_on(&design, spec, event_driven, false, true)?;
-        let got = sink_ints(&design, &native_run, "snk")?;
-        if got != gold {
-            return Err(format!(
-                "compiled backend (event_driven={event_driven}) disagrees with gold model:\n  \
-                 got  {got:?}\n  want {gold:?}"
-            ));
-        }
-        let rn = native_run.report();
-        if rn != *tree_report {
-            return Err(format!(
-                "compiled backend (event_driven={event_driven}) is not cycle-identical to \
-                 the interpreter:\n  interp {tree_report:?}\n  compiled {rn:?}"
-            ));
-        }
-        // And the word path: the same native closures over a flat
-        // arena store, where scalar port traffic runs unboxed.
-        let word_run = run_sw_on(&design, spec, event_driven, true, true)?;
-        let got = sink_ints(&design, &word_run, "snk")?;
-        if got != gold {
-            return Err(format!(
-                "compiled+flat backend (event_driven={event_driven}) disagrees with gold \
-                 model:\n  got  {got:?}\n  want {gold:?}"
-            ));
-        }
-        let rw = word_run.report();
-        if rw != *tree_report {
-            return Err(format!(
-                "compiled+flat backend (event_driven={event_driven}) is not cycle-identical \
-                 to the interpreter:\n  interp {tree_report:?}\n  compiled+flat {rw:?}"
-            ));
+    // Legs 5 and 6 (software half): the closure-threaded native backend
+    // on the tree store and on the flat arena, in both guard scheduling
+    // modes. Each run must be bit- and cycle-identical to leg 1.
+    for event_driven in [false, true] {
+        for flat in [false, true] {
+            let native_run = run_sw_on(&design, spec, event_driven, flat, true)?;
+            let got = sink_ints(&design, &native_run, "snk")?;
+            if got != gold {
+                return Err(format!(
+                    "compiled backend (event_driven={event_driven}, flat={flat}) disagrees \
+                     with gold model:\n  got  {got:?}\n  want {gold:?}"
+                ));
+            }
+            let rn = native_run.report();
+            if rn != ra {
+                return Err(format!(
+                    "compiled backend (event_driven={event_driven}, flat={flat}) is not \
+                     cycle-identical to the naive interpreter:\n  interp {ra:?}\n  \
+                     compiled {rn:?}"
+                ));
+            }
         }
     }
 
-    // Executor C: fused single-process design.
+    // Leg 2: fused single-process design.
     let parts = partition(&design, SW).map_err(|e| format!("partition: {e}"))?;
     let fused = fuse_partitioned(&parts).map_err(|e| format!("fuse: {e}"))?;
     let fused_run = run_sw(&fused.design, spec, true)?;
@@ -219,7 +183,7 @@ fn run_case_inner(
         ));
     }
 
-    // Executor D: N-partition co-simulation under the fault plan.
+    // Leg 3: N-partition co-simulation under the fault plan.
     let hw = parts.hw_domains(SW);
     let cosim_cycles_of =
         |hw_event_driven: bool, flat: bool, compiled: bool| -> Result<(Vec<i64>, u64), String> {
@@ -283,24 +247,7 @@ fn run_case_inner(
         ));
     }
 
-    // Executor E (platform half): the same co-simulation over flat
-    // arena stores on both sides of the link — same value stream, same
-    // modeled FPGA time.
-    let (got_flat, cycles_flat) = cosim_cycles_of(true, true, false)?;
-    if got_flat != gold {
-        return Err(format!(
-            "flat-store co-simulation disagrees with gold model:\n  \
-             got  {got_flat:?}\n  want {gold:?}"
-        ));
-    }
-    if cycles_flat != cycles_event {
-        return Err(format!(
-            "flat-store co-simulation is not cycle-identical to the tree store: \
-             {cycles_flat} vs {cycles_event} FPGA cycles"
-        ));
-    }
-
-    // Executor F (platform half): the same co-simulation with every
+    // Leg 5 (platform half): the same co-simulation with every
     // scheduler on the native backend — same value stream, same modeled
     // FPGA time.
     let (got_native, cycles_native) = cosim_cycles_of(true, false, true)?;
@@ -317,8 +264,9 @@ fn run_case_inner(
         ));
     }
 
-    // Word path: the native backend over flat arena stores on both
-    // sides of the link — unboxed port traffic, same stream, same time.
+    // Leg 6 (platform half): the native backend over flat arena stores
+    // on both sides of the link — unboxed port traffic, same stream,
+    // same time.
     let (got_word, cycles_word) = cosim_cycles_of(true, true, true)?;
     if got_word != gold {
         return Err(format!(

@@ -12,12 +12,13 @@
 //!   FIFOs, register files, accumulator rule pairs, fork/join diamonds,
 //!   submodule value methods, multi-domain channel assignments), plus
 //!   random link-fault/partition-fault/recovery-policy schedules.
-//! * [`diff`] — the harness: each generated design runs through the
-//!   naive interpreter, the event-driven Vm, the fused single-process
-//!   design, and the N-partition co-simulation under faults; all four
-//!   value streams must equal the spec's independently computed gold
-//!   model, and modeled cycle counts must be identical where the
-//!   comparison is meaningful (naive vs. event-driven).
+//! * [`diff`] — the harness: each generated design runs through six
+//!   legs — the naive interpreter (the reference), the fused
+//!   single-process design, the N-partition co-simulation under faults,
+//!   the flat arena store, and the native closures on the tree store
+//!   and on the flat arena (the production path); every value stream
+//!   must equal the spec's independently computed gold model, and
+//!   modeled cycle counts must equal the naive interpreter's.
 //! * [`shrink`] + [`corpus`] — spec-level minimization of failing
 //!   cases (the vendored proptest stub does not shrink) and replay of
 //!   checked-in `tests/corpus/*.bcl` regressions through every

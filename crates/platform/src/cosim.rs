@@ -189,8 +189,9 @@ pub struct HwPartitionCfg {
     /// either way; only simulator wall-clock time differs.
     pub event_driven: bool,
     /// Closure-threaded native execution for this partition's simulator
-    /// (see [`HwOptions::compiled`]). Firings, cycle counts, and state are
-    /// bit-identical either way; only simulator wall-clock time differs.
+    /// (see [`HwOptions::compiled`]); `false` selects the AST interpreter.
+    /// Firings, cycle counts, and state are bit-identical either way; only
+    /// simulator wall-clock time differs.
     pub compiled: bool,
 }
 
@@ -203,7 +204,7 @@ impl HwPartitionCfg {
             faults: FaultConfig::none(),
             clock_div: 1,
             event_driven: true,
-            compiled: false,
+            compiled: true,
         }
     }
 
@@ -232,9 +233,8 @@ impl HwPartitionCfg {
         self
     }
 
-    /// Selects closure-threaded native execution (`true`) or the
-    /// stack-machine/interpreter path (`false`, the default) for this
-    /// partition's simulator.
+    /// Selects closure-threaded native execution (`true`, the default) or
+    /// the AST interpreter (`false`) for this partition's simulator.
     pub fn with_compiled(mut self, on: bool) -> HwPartitionCfg {
         self.compiled = on;
         self
@@ -739,10 +739,9 @@ impl SwOwned {
             clock_div,
             hw_opts: HwOptions {
                 event_driven,
-                // Not persisted (would change the snapshot format for a
-                // wall-clock-only flag): a partition revived from a
-                // restored checkpoint runs the interpreter path, which is
-                // bit- and cycle-identical to native execution.
+                // Not persisted (it would change the snapshot format for
+                // a wall-clock-only flag): replay takes it from the live
+                // partition the record splices into software.
                 compiled: false,
             },
             fault_schedule,
@@ -1177,14 +1176,9 @@ impl Cosim {
                 )));
             }
         }
-        let cfg = HwPartitionCfg {
-            domain: hw_domain.to_string(),
-            link: link_cfg,
-            faults,
-            clock_div: 1,
-            event_driven: true,
-            compiled: false,
-        };
+        let cfg = HwPartitionCfg::new(hw_domain)
+            .with_link(link_cfg)
+            .with_faults(faults);
         Cosim::multi(
             p,
             sw_domain,
@@ -1904,9 +1898,11 @@ impl Cosim {
         let topo = plan_topology(&fusion.parts, &self.sw_domain, &domains, &self.routing)
             .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
         let mut old_parts = std::mem::take(&mut self.parts_list);
-        old_parts.remove(pi);
-        self.software_owned.push(rec.clone());
+        let dead = old_parts.remove(pi);
+        let mut rec = rec.clone();
+        rec.hw_opts.compiled = dead.hw.options().compiled;
         self.absorbed.push(rec.domain.clone());
+        self.software_owned.push(rec);
         self.sw = SwRunner::new(&topo.sw_design, self.sw_opts);
         self.sw_design = topo.sw_design;
         for (part, specs) in old_parts.iter_mut().zip(&topo.part_specs) {
@@ -3992,6 +3988,70 @@ mod tests {
             clean,
             "die → failover → revive must not change the stream"
         );
+    }
+
+    /// A partition that failed over keeps its executor through a
+    /// snapshot/resume: the revived simulator is native again, and the
+    /// resumed run lands on the uninterrupted run's cycles.
+    #[test]
+    fn resumed_revival_keeps_the_native_executor() {
+        use crate::link::{FaultConfig, PartitionFault};
+        let p = partition(&offload_design(true), SW).unwrap();
+        let build = || {
+            let faults = FaultConfig::none()
+                .with_partition_fault(PartitionFault::DieAt(180))
+                .with_partition_fault(PartitionFault::ReviveAt(1_500));
+            let mut cs = Cosim::with_faults(
+                &p,
+                SW,
+                HW,
+                LinkConfig::default(),
+                faults,
+                SwOptions::default(),
+            )
+            .unwrap();
+            cs.set_recovery_policy(RecoveryPolicy::failover(50));
+            for i in 0..200 {
+                cs.push_source("src", Value::int(32, i));
+            }
+            cs
+        };
+        let hw_compiled = |cs: &Cosim| {
+            let part = cs.parts_list.iter().find(|q| q.domain == HW);
+            part.map(|q| q.hw.options().compiled)
+        };
+        let finish = |cs: &mut Cosim| {
+            let out = cs
+                .run_until(|c| c.sink_count("snk") == 200, 10_000_000)
+                .unwrap();
+            assert!(out.is_done(), "{out:?}");
+            (out.fpga_cycles(), cs.sw.cpu_cycles(), sink_ints(cs, "snk"))
+        };
+        let mut clean = build();
+        assert_eq!(hw_compiled(&clean), Some(true));
+        let want = finish(&mut clean);
+        assert!(clean.revived());
+
+        let mut first = build();
+        while first.fpga_cycles < 1_000 {
+            first.step().unwrap();
+        }
+        assert_eq!(
+            first.partition_lifecycle(HW),
+            Some(PartitionLifecycle::SoftwareOwned)
+        );
+        let bytes = first.snapshot_bytes().unwrap();
+        let mut second = build();
+        second.resume_from(&mut bytes.as_slice()).unwrap();
+        while !second.revived() {
+            second.step().unwrap();
+        }
+        assert_eq!(
+            hw_compiled(&second),
+            Some(true),
+            "revived on the interpreter"
+        );
+        assert_eq!(finish(&mut second), want);
     }
 
     #[test]

@@ -192,13 +192,22 @@ pub fn run_partition_with_recovery(
     faults: FaultConfig,
     policy: RecoveryPolicy,
 ) -> Result<RtRun, PlatformError> {
-    run_partition_full(which, bvh, width, height, faults, policy, true)
+    run_partition_full(
+        which,
+        bvh,
+        width,
+        height,
+        faults,
+        policy,
+        ExecBackend::Compiled,
+    )
 }
 
-/// Runs one partition with every scheduler in naive (evaluate-every-guard)
-/// reference mode. Cycle counts and the image are identical to
-/// [`run_partition`]; only simulator wall-clock time differs. Used as the
-/// test oracle and benchmark baseline for the event-driven scheduler.
+/// Runs one partition on the reference executor ([`ExecBackend::Naive`]:
+/// every guard re-evaluated every step by the AST interpreter). Cycle
+/// counts and the image are identical to [`run_partition`]; only
+/// simulator wall-clock time differs. Used as the test oracle and
+/// benchmark baseline for the production path.
 ///
 /// # Errors
 ///
@@ -216,32 +225,14 @@ pub fn run_partition_naive(
         height,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        false,
+        ExecBackend::Naive,
     )
 }
 
-/// Runs one partition with every store backed by the bit-packed flat
-/// arena ([`SwOptions::flat`]). Cycle counts and the image are identical
-/// to [`run_partition`]; only simulator wall-clock time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_flat(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-) -> Result<RtRun, PlatformError> {
-    let cosim = build_cosim(which, bvh, width, height, ExecBackend::Flat)?;
-    run_built(cosim, which, width * height)
-}
-
-/// Runs one partition with every scheduler executing through the
-/// closure-threaded native backend over the bit-packed flat arena
-/// ([`SwOptions::compiled`] + [`SwOptions::flat`]). Cycle counts and
-/// the image are identical to [`run_partition`]; only simulator
-/// wall-clock time differs.
+/// Runs one partition on the production path ([`ExecBackend::Compiled`]:
+/// closure-threaded native rules over the bit-packed flat arena) through
+/// the [`build_cosim`]/[`run_built`] split. Cycle counts and the image
+/// are identical to [`run_partition`].
 ///
 /// # Errors
 ///
@@ -272,16 +263,14 @@ pub fn build_cosim(
     height: usize,
     backend: ExecBackend,
 ) -> Result<Cosim, PlatformError> {
-    make_cosim_full(
+    make_cosim(
         which,
         bvh,
         width,
         height,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        backend.event_driven(),
-        backend.flat(),
-        backend.compiled(),
+        backend,
     )
 }
 
@@ -307,41 +296,16 @@ pub fn make_cosim(
     height: usize,
     faults: FaultConfig,
     policy: RecoveryPolicy,
-    event_driven: bool,
-) -> Result<Cosim, PlatformError> {
-    make_cosim_full(
-        which,
-        bvh,
-        width,
-        height,
-        faults,
-        policy,
-        event_driven,
-        false,
-        false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_cosim_full(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    event_driven: bool,
-    flat: bool,
-    compiled: bool,
+    backend: ExecBackend,
 ) -> Result<Cosim, PlatformError> {
     let cfg = which.config(width, height);
     let design = build_design(bvh, &cfg).map_err(|e| PlatformError::new(e.to_string()))?;
     let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
     let sw_opts = SwOptions {
         strategy: Strategy::Dataflow,
-        event_driven,
-        flat,
-        compiled,
+        event_driven: backend.event_driven(),
+        flat: backend.flat(),
+        compiled: backend.compiled(),
         ..Default::default()
     };
     // One link configuration per distinct hardware domain; the fault
@@ -363,8 +327,8 @@ fn make_cosim_full(
         .map(|(i, d)| {
             let c = HwPartitionCfg::new(d)
                 .with_link(ml507_link())
-                .with_event_driven(event_driven)
-                .with_compiled(compiled);
+                .with_event_driven(backend.event_driven())
+                .with_compiled(backend.compiled());
             if i == 0 {
                 c.with_faults(faults.clone())
             } else {
@@ -427,10 +391,10 @@ fn run_partition_full(
     height: usize,
     faults: FaultConfig,
     policy: RecoveryPolicy,
-    event_driven: bool,
+    backend: ExecBackend,
 ) -> Result<RtRun, PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let cosim = make_cosim(which, bvh, width, height, faults, policy, event_driven)?;
+    let cosim = make_cosim(which, bvh, width, height, faults, policy, backend)?;
     finish_run(cosim, which, width * height, faulty)
 }
 
@@ -456,7 +420,15 @@ pub fn run_partition_autosaving(
     dir: &std::path::Path,
 ) -> Result<RtRun, PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, bvh, width, height, faults, policy, true)?;
+    let mut cosim = make_cosim(
+        which,
+        bvh,
+        width,
+        height,
+        faults,
+        policy,
+        ExecBackend::Compiled,
+    )?;
     cosim.set_autosave(bcl_platform::persist::CheckpointPolicy::new(interval, dir));
     finish_run(cosim, which, width * height, faulty)
 }
@@ -481,7 +453,15 @@ pub fn resume_partition(
     snapshot: &std::path::Path,
 ) -> Result<RtRun, PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, bvh, width, height, faults, policy, true)?;
+    let mut cosim = make_cosim(
+        which,
+        bvh,
+        width,
+        height,
+        faults,
+        policy,
+        ExecBackend::Compiled,
+    )?;
     cosim
         .resume_from_file(snapshot)
         .map_err(|e| PlatformError::new(e.to_string()))?;
@@ -508,7 +488,15 @@ pub fn run_partition_migrated(
     split_cycle: u64,
 ) -> Result<(RtRun, usize), PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut first = make_cosim(which, bvh, width, height, faults.clone(), policy, true)?;
+    let mut first = make_cosim(
+        which,
+        bvh,
+        width,
+        height,
+        faults.clone(),
+        policy,
+        ExecBackend::Compiled,
+    )?;
     let out = first
         .run_until(|c| c.fpga_cycles >= split_cycle, u64::MAX)
         .map_err(|e| PlatformError::new(e.to_string()))?;
@@ -522,7 +510,15 @@ pub fn run_partition_migrated(
         .snapshot_bytes()
         .map_err(|e| PlatformError::new(e.to_string()))?;
     drop(first);
-    let mut second = make_cosim(which, bvh, width, height, faults, policy, true)?;
+    let mut second = make_cosim(
+        which,
+        bvh,
+        width,
+        height,
+        faults,
+        policy,
+        ExecBackend::Compiled,
+    )?;
     second
         .resume_from(&mut bytes.as_slice())
         .map_err(|e| PlatformError::new(e.to_string()))?;
@@ -686,7 +682,7 @@ mod tests {
         let bvh = build_bvh(&scene);
         let (w, h) = (4, 4);
         for p in [RtPartition::A, RtPartition::C] {
-            let base = run_partition(p, &bvh, w, h).unwrap();
+            let base = run_partition_naive(p, &bvh, w, h).unwrap();
             let compiled = run_partition_compiled(p, &bvh, w, h).unwrap();
             assert_eq!(compiled.image, base.image, "partition {}", p.label());
             assert_eq!(

@@ -213,13 +213,14 @@ pub fn run_partition_with_recovery(
     faults: FaultConfig,
     policy: RecoveryPolicy,
 ) -> Result<VorbisRun, PlatformError> {
-    run_partition_full(which, frames, faults, policy, true)
+    run_partition_full(which, frames, faults, policy, ExecBackend::Compiled)
 }
 
-/// Runs a partition with every scheduler in naive (evaluate-every-guard)
-/// reference mode. Cycle counts and PCM are identical to
-/// [`run_partition`]; only simulator wall-clock time differs. Used as the
-/// test oracle and benchmark baseline for the event-driven scheduler.
+/// Runs a partition on the reference executor ([`ExecBackend::Naive`]:
+/// every guard re-evaluated every step by the AST interpreter). Cycle
+/// counts and PCM are identical to [`run_partition`]; only simulator
+/// wall-clock time differs. Used as the test oracle and benchmark
+/// baseline for the production path.
 ///
 /// # Errors
 ///
@@ -233,33 +234,14 @@ pub fn run_partition_naive(
         frames,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        false,
+        ExecBackend::Naive,
     )
 }
 
-/// Runs a partition with every store backed by the bit-packed flat
-/// arena ([`SwOptions::flat`]). Cycle counts and PCM are identical to
-/// [`run_partition`]; only simulator wall-clock time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_flat(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-) -> Result<VorbisRun, PlatformError> {
-    run_built(
-        build_cosim(which, frames, ExecBackend::Flat)?,
-        which,
-        frames.len(),
-    )
-}
-
-/// Runs a partition with every scheduler executing through the
-/// closure-threaded native backend over the bit-packed flat arena
-/// ([`SwOptions::compiled`] + [`SwOptions::flat`]). Cycle counts and
-/// PCM are identical to [`run_partition`]; only simulator wall-clock
-/// time differs.
+/// Runs a partition on the production path ([`ExecBackend::Compiled`]:
+/// closure-threaded native rules over the bit-packed flat arena) through
+/// the [`build_cosim`]/[`run_built`] split. Cycle counts and PCM are
+/// identical to [`run_partition`].
 ///
 /// # Errors
 ///
@@ -289,14 +271,12 @@ pub fn build_cosim(
     frames: &[Vec<i64>],
     backend: ExecBackend,
 ) -> Result<Cosim, PlatformError> {
-    make_cosim_full(
+    make_cosim(
         which,
         frames,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        backend.event_driven(),
-        backend.flat(),
-        backend.compiled(),
+        backend,
     )
 }
 
@@ -324,19 +304,7 @@ pub fn make_cosim(
     frames: &[Vec<i64>],
     faults: FaultConfig,
     policy: RecoveryPolicy,
-    event_driven: bool,
-) -> Result<Cosim, PlatformError> {
-    make_cosim_full(which, frames, faults, policy, event_driven, false, false)
-}
-
-fn make_cosim_full(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    event_driven: bool,
-    flat: bool,
-    compiled: bool,
+    backend: ExecBackend,
 ) -> Result<Cosim, PlatformError> {
     let domains = which.domains();
     let opts = BackendOptions {
@@ -347,9 +315,9 @@ fn make_cosim_full(
     let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
     let sw_opts = SwOptions {
         strategy: Strategy::Dataflow,
-        event_driven,
-        flat,
-        compiled,
+        event_driven: backend.event_driven(),
+        flat: backend.flat(),
+        compiled: backend.compiled(),
         ..Default::default()
     };
     let mut hw_domains: Vec<&str> = Vec::new();
@@ -368,8 +336,8 @@ fn make_cosim_full(
         .map(|(i, d)| {
             let cfg = HwPartitionCfg::new(d)
                 .with_link(ml507_link())
-                .with_event_driven(event_driven)
-                .with_compiled(compiled);
+                .with_event_driven(backend.event_driven())
+                .with_compiled(backend.compiled());
             if i == 0 {
                 cfg.with_faults(faults.clone())
             } else {
@@ -431,10 +399,10 @@ fn run_partition_full(
     frames: &[Vec<i64>],
     faults: FaultConfig,
     policy: RecoveryPolicy,
-    event_driven: bool,
+    backend: ExecBackend,
 ) -> Result<VorbisRun, PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let cosim = make_cosim(which, frames, faults, policy, event_driven)?;
+    let cosim = make_cosim(which, frames, faults, policy, backend)?;
     finish_run(cosim, which, frames.len(), faulty)
 }
 
@@ -457,7 +425,7 @@ pub fn run_partition_autosaving(
     dir: &std::path::Path,
 ) -> Result<VorbisRun, PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, frames, faults, policy, true)?;
+    let mut cosim = make_cosim(which, frames, faults, policy, ExecBackend::Compiled)?;
     cosim.set_autosave(bcl_platform::persist::CheckpointPolicy::new(interval, dir));
     finish_run(cosim, which, frames.len(), faulty)
 }
@@ -480,7 +448,7 @@ pub fn resume_partition(
     snapshot: &std::path::Path,
 ) -> Result<VorbisRun, PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, frames, faults, policy, true)?;
+    let mut cosim = make_cosim(which, frames, faults, policy, ExecBackend::Compiled)?;
     cosim
         .resume_from_file(snapshot)
         .map_err(|e| PlatformError::new(e.to_string()))?;
@@ -505,7 +473,7 @@ pub fn run_partition_migrated(
     split_cycle: u64,
 ) -> Result<(VorbisRun, usize), PlatformError> {
     let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut first = make_cosim(which, frames, faults.clone(), policy, true)?;
+    let mut first = make_cosim(which, frames, faults.clone(), policy, ExecBackend::Compiled)?;
     let out = first
         .run_until(|c| c.fpga_cycles >= split_cycle, u64::MAX)
         .map_err(|e| PlatformError::new(e.to_string()))?;
@@ -519,7 +487,7 @@ pub fn run_partition_migrated(
         .snapshot_bytes()
         .map_err(|e| PlatformError::new(e.to_string()))?;
     drop(first);
-    let mut second = make_cosim(which, frames, faults, policy, true)?;
+    let mut second = make_cosim(which, frames, faults, policy, ExecBackend::Compiled)?;
     second
         .resume_from(&mut bytes.as_slice())
         .map_err(|e| PlatformError::new(e.to_string()))?;
@@ -650,7 +618,7 @@ mod tests {
     fn compiled_backend_is_cycle_identical_on_partitions() {
         let frames = frame_stream(2, 21);
         for p in [VorbisPartition::E, VorbisPartition::F] {
-            let base = run_partition(p, &frames).unwrap();
+            let base = run_partition_naive(p, &frames).unwrap();
             let compiled = run_partition_compiled(p, &frames).unwrap();
             assert_eq!(compiled.pcm, base.pcm, "partition {}", p.label());
             assert_eq!(

@@ -12,6 +12,7 @@
 //! cargo run --release --example migrate_demo
 //! ```
 
+use bcl_core::sched::ExecBackend;
 use bcl_platform::cosim::{Cosim, RecoveryPolicy};
 use bcl_platform::link::FaultConfig;
 use bcl_vorbis::frames::frame_stream;
@@ -33,7 +34,7 @@ fn build() -> Result<Cosim, Box<dyn std::error::Error>> {
         &frames(),
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        true,
+        ExecBackend::Compiled,
     )?)
 }
 

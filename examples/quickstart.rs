@@ -89,12 +89,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- software execution -------------------------------------------
-    // Both schedulers run event-driven by default: guards compile to
-    // stack-machine programs once, their verdicts are cached, and only
-    // rules whose read set intersects the prims written since the last
-    // probe are re-evaluated. `SwOptions { event_driven: false, .. }`
-    // (or `HwOptions { event_driven: false, .. }`) selects the naive
-    // evaluate-every-guard reference mode — same results, slower.
+    // Both schedulers run event-driven by default: rules lower once to
+    // native closures, guard verdicts are cached, and only rules whose
+    // read set intersects the prims written since the last probe are
+    // re-evaluated. `SwOptions { event_driven: false, compiled: false,
+    // .. }` (likewise `HwOptions`) selects the naive evaluate-every-guard
+    // reference mode on the AST interpreter — same results, slower.
     let mut store = Store::new(&design);
     load(&mut store);
     let mut sw = SwRunner::with_store(&design, store, SwOptions::default());

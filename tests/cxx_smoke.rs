@@ -31,7 +31,7 @@ fn find_cxx() -> Option<&'static str> {
 /// Runs the simulator on `frames` and returns the sink stream flattened
 /// to the decimal-leaf form the generated C++ program prints.
 fn simulator_sink_leaves(frames: &[Vec<i64>]) -> Vec<i64> {
-    let mut cosim = build_cosim(VorbisPartition::F, frames, ExecBackend::Event).unwrap();
+    let mut cosim = build_cosim(VorbisPartition::F, frames, ExecBackend::Compiled).unwrap();
     let want = frames.len();
     cosim
         .run_until(|c| c.sink_count("audioDev") == want, 1_000_000)

@@ -17,13 +17,13 @@ use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
 use bcl_raytrace::partitions::{
-    run_partition as rt_run, run_partition_compiled as rt_run_compiled,
-    run_partition_flat as rt_run_flat, run_partition_migrated as rt_run_migrated, RtPartition,
+    run_partition_compiled as rt_run_compiled, run_partition_migrated as rt_run_migrated,
+    run_partition_naive as rt_run_naive, RtPartition,
 };
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{
     run_partition as vorbis_run, run_partition_compiled as vorbis_run_compiled,
-    run_partition_flat as vorbis_run_flat, run_partition_migrated as vorbis_run_migrated,
+    run_partition_migrated as vorbis_run_migrated, run_partition_naive as vorbis_run_naive,
     run_partition_with_recovery as vorbis_run_recovery, VorbisPartition,
 };
 
@@ -47,12 +47,14 @@ const RT_BASELINE: &[(RtPartition, u64, u64)] = &[
     (RtPartition::E, 40_004, 2_076), // three-domain (traversal | geometry)
 ];
 
+/// The reference executor (naive scheduling on the AST interpreter)
+/// lands on the pinned cycles.
 #[test]
 fn vorbis_partition_cycle_counts_are_pinned() {
     let frames = frame_stream(3, 21);
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE {
-        let run = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        let run = vorbis_run_naive(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
         if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
             failures.push(format!(
                 "partition {}: expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
@@ -66,43 +68,15 @@ fn vorbis_partition_cycle_counts_are_pinned() {
 }
 
 #[test]
-fn vorbis_flat_store_cycle_counts_are_pinned() {
-    // The flat arena store must land on the exact same pinned cycles as
-    // the tree store for every shipped partition — bit- and
-    // cycle-identity, not "close enough". The PCM is also compared.
-    let frames = frame_stream(3, 21);
-    let mut failures = Vec::new();
-    for &(p, fpga, cpu) in VORBIS_BASELINE {
-        let tree = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let flat = vorbis_run_flat(p, &frames).unwrap_or_else(|e| panic!("{p:?} (flat): {e}"));
-        assert_eq!(
-            flat.pcm,
-            tree.pcm,
-            "partition {} flat PCM diverged",
-            p.label()
-        );
-        if (flat.fpga_cycles, flat.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {} (flat): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                flat.fpga_cycles,
-                flat.sw_cpu_cycles
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
 fn vorbis_compiled_backend_cycle_counts_are_pinned() {
-    // The closure-threaded native backend must land on the exact same
-    // pinned cycles as the interpreter for every shipped partition —
-    // bit- and cycle-identity, not "close enough". The PCM is also
-    // compared.
+    // The production path (native closures on the flat arena) must land
+    // on the exact same pinned cycles as the reference for every
+    // shipped partition — bit- and cycle-identity, not "close enough".
+    // The PCM is also compared.
     let frames = frame_stream(3, 21);
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE {
-        let tree = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        let tree = vorbis_run_naive(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
         let compiled =
             vorbis_run_compiled(p, &frames).unwrap_or_else(|e| panic!("{p:?} (compiled): {e}"));
         assert_eq!(
@@ -128,7 +102,7 @@ fn raytrace_compiled_backend_cycle_counts_are_pinned() {
     let bvh = build_bvh(&make_scene(48, 5));
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in RT_BASELINE {
-        let tree = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        let tree = rt_run_naive(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
         let compiled =
             rt_run_compiled(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (compiled): {e}"));
         assert_eq!(
@@ -143,31 +117,6 @@ fn raytrace_compiled_backend_cycle_counts_are_pinned() {
                 p.label(),
                 compiled.fpga_cycles,
                 compiled.sw_cpu_cycles
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-fn raytrace_flat_store_cycle_counts_are_pinned() {
-    let bvh = build_bvh(&make_scene(48, 5));
-    let mut failures = Vec::new();
-    for &(p, fpga, cpu) in RT_BASELINE {
-        let tree = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let flat = rt_run_flat(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (flat): {e}"));
-        assert_eq!(
-            flat.image,
-            tree.image,
-            "partition {} flat image diverged",
-            p.label()
-        );
-        if (flat.fpga_cycles, flat.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {} (flat): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                flat.fpga_cycles,
-                flat.sw_cpu_cycles
             ));
         }
     }
@@ -330,7 +279,7 @@ fn raytrace_partition_cycle_counts_are_pinned() {
     let bvh = build_bvh(&make_scene(48, 5));
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in RT_BASELINE {
-        let run = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        let run = rt_run_naive(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
         if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
             failures.push(format!(
                 "partition {}: expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
