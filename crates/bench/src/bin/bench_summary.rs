@@ -8,8 +8,8 @@
 //!   store, with single-word values travelling as bare `u64`s through
 //!   the port API ([`ExecBackend::Compiled`]).
 //!
-//! Every leg is timed in **two phases** via the suites' public
-//! `build_cosim`/`run_built` split: the one-time construction phase
+//! Every leg is timed in **two phases** via the workload driver's
+//! `Driver::build`/`Driver::finish` split: the one-time construction phase
 //! (elaborate + partition + lower rules + build the platform) and the
 //! simulation phase (stream the workload to completion). The `*_run_ns`
 //! fields compare the executors; the plain `*_ns` fields are end to end.
@@ -30,14 +30,14 @@
 //! wall-clock, not a change in what is simulated.
 
 use bcl_core::sched::ExecBackend;
+use bcl_platform::workload::{Driver, Workload};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::{gen_rays, make_scene};
 use bcl_raytrace::native::render;
-use bcl_raytrace::partitions::{build_cosim as build_rt, run_built as run_built_rt, RtPartition};
+use bcl_raytrace::partitions::{RtPartition, RtWorkload};
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::native::NativeBackend;
-use bcl_vorbis::partitions::{build_cosim, run_built, VorbisPartition};
-use std::fmt::Debug;
+use bcl_vorbis::partitions::{VorbisPartition, VorbisWorkload};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -92,44 +92,53 @@ impl Entry {
     }
 }
 
-/// What the equality check compares between the two legs of one
-/// partition: modeled FPGA cycles, CPU cycles, and the output stream.
-type Observed<O> = (u64, u64, O);
-
 /// Times both legs of one partition, interleaving reps across backends
 /// (both legs inside each rep, not all reps of one leg back to back) so
 /// that machine-load drift lands on each backend equally, and takes the
-/// per-leg best across reps. `build` is timed as construction, `run` as
-/// simulation; `observe` extracts what must agree across the legs plus
-/// the guard counters of the compiled leg.
-fn measure<C, R, O: PartialEq + Debug>(
-    label: &str,
-    mut build: impl FnMut(ExecBackend) -> C,
-    mut run: impl FnMut(C) -> R,
-    observe: impl Fn(&R) -> (Observed<O>, (u64, u64)),
-) -> ([Leg; 2], u64, (u64, u64)) {
+/// per-leg best across reps. `Driver::build` is timed as construction,
+/// `Driver::finish` as simulation.
+fn measure(
+    bench: &'static str,
+    partition: &'static str,
+    native_ns: u128,
+    workload: &dyn Workload,
+) -> Entry {
     let mut legs = [Leg::unmeasured(), Leg::unmeasured()];
     let mut first = Vec::new();
     for rep in 0..REPS {
         for (leg, backend) in legs.iter_mut().zip(BACKENDS) {
+            let driver = Driver::new(workload).backend(backend);
             let t0 = Instant::now();
-            let c = build(backend);
+            let c = driver.build().unwrap();
             let t1 = Instant::now();
-            let r = run(c);
+            let r = driver.finish(c).unwrap();
             leg.run_ns = leg.run_ns.min(t1.elapsed().as_nanos());
             leg.total_ns = leg.total_ns.min(t0.elapsed().as_nanos());
             if rep == 0 {
-                first.push(observe(&r));
+                first.push(r);
             }
         }
     }
-    let (naive, _) = &first[0];
-    let (compiled, guards) = &first[1];
+    let observed = |i: usize| {
+        let r = &first[i];
+        (r.fpga_cycles, r.sw_cpu_cycles, &r.output)
+    };
     assert_eq!(
-        naive, compiled,
-        "{label}: naive and compiled disagree on (fpga cycles, cpu cycles, output)"
+        observed(0),
+        observed(1),
+        "{bench} {partition}: naive and compiled disagree on (fpga cycles, cpu cycles, output)"
     );
-    (legs, compiled.0, *guards)
+    let [naive, compiled] = legs;
+    Entry {
+        bench,
+        partition,
+        fpga_cycles: first[1].fpga_cycles,
+        naive,
+        compiled,
+        native_ns,
+        guard_evals: first[1].guard_evals,
+        guard_evals_skipped: first[1].guard_evals_skipped,
+    }
 }
 
 /// Best-of-N wall clock for one closure (used for the F2 natives).
@@ -148,56 +157,29 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "bench_summary.json".to_string());
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut push = |bench, partition, native_ns, m: ([Leg; 2], u64, (u64, u64))| {
-        let ([naive, compiled], fpga_cycles, (guard_evals, guard_evals_skipped)) = m;
-        entries.push(Entry {
-            bench,
-            partition,
-            fpga_cycles,
-            naive,
-            compiled,
-            native_ns,
-            guard_evals,
-            guard_evals_skipped,
-        });
-    };
-
     let frames = frame_stream(8, 1);
     let vorbis_native_ns = time_best(|| NativeBackend::new().run(&frames));
-    for p in VorbisPartition::ALL {
-        let m = measure(
-            &format!("vorbis {}", p.label()),
-            |b| build_cosim(p, &frames, b).unwrap(),
-            |c| run_built(c, p, frames.len()).unwrap(),
-            |r| {
-                (
-                    (r.fpga_cycles, r.sw_cpu_cycles, r.pcm.clone()),
-                    (r.guard_evals, r.guard_evals_skipped),
-                )
-            },
-        );
-        push("fig13_vorbis", p.label(), vorbis_native_ns, m);
-    }
-
     let bvh = build_bvh(&make_scene(64, 1));
     let (w, h) = (4, 4);
     let rays = gen_rays(w, h);
     let rt_native_ns = time_best(|| render(&bvh, &rays));
-    for p in RtPartition::ALL {
-        let m = measure(
-            &format!("raytrace {}", p.label()),
-            |b| build_rt(p, &bvh, w, h, b).unwrap(),
-            |c| run_built_rt(c, p, w * h).unwrap(),
-            |r| {
-                (
-                    (r.fpga_cycles, r.sw_cpu_cycles, r.image.clone()),
-                    (r.guard_evals, r.guard_evals_skipped),
-                )
-            },
-        );
-        push("fig13_raytrace", p.label(), rt_native_ns, m);
+
+    type Case<'a> = (&'static str, &'static str, u128, Box<dyn Workload + 'a>);
+    let mut cases: Vec<Case> = Vec::new();
+    for p in VorbisPartition::ALL {
+        let workload = Box::new(VorbisWorkload::new(p, &frames));
+        cases.push(("fig13_vorbis", p.label(), vorbis_native_ns, workload));
     }
+    for p in RtPartition::ALL {
+        let workload = Box::new(RtWorkload::new(p, &bvh, w, h));
+        cases.push(("fig13_raytrace", p.label(), rt_native_ns, workload));
+    }
+    let entries: Vec<Entry> = cases
+        .iter()
+        .map(|(bench, partition, native_ns, workload)| {
+            measure(bench, partition, *native_ns, workload.as_ref())
+        })
+        .collect();
 
     let sum = |f: fn(&Entry) -> u128| entries.iter().map(f).sum::<u128>();
     let overall = sum(|e| e.naive.total_ns) as f64 / sum(|e| e.compiled.total_ns).max(1) as f64;

@@ -80,11 +80,6 @@ impl Design {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Looks up a rule index by name.
-    pub fn rule_index(&self, name: &str) -> Option<usize> {
-        self.rules.iter().position(|r| r.name == name)
-    }
 }
 
 #[cfg(test)]

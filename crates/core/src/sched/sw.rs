@@ -422,12 +422,6 @@ impl SwRunner {
         }
     }
 
-    /// Adds external cycles (e.g. driver marshaling work) to the runner's
-    /// cost, modeled as plain ALU ops.
-    pub fn charge_cycles(&mut self, cycles: u64) {
-        self.cost.ops += cycles / self.opts.model.op.max(1);
-    }
-
     /// Captures the runner's complete mutable state for a later
     /// [`SwRunner::restore`]. The compiled plans and options are
     /// immutable and are not copied. Takes `&mut self` because the

@@ -2100,42 +2100,9 @@ impl<'s> Txn<'s> {
         self.cost
     }
 
-    /// Direct, unshadowed action call against the base store — the §6.3
-    /// fast path for rules whose guards were fully lifted. Only safe when
-    /// the transformation has proven the body cannot fail past this point.
-    pub fn call_action_inplace(
-        store: &mut Store,
-        id: PrimId,
-        m: PrimMethod,
-        args: &[Value],
-        cost: &mut Cost,
-    ) -> ExecResult<()> {
-        cost.writes += 1;
-        store.call_action_at(id, m, args)
-    }
-
-    /// Read-only value-method call against a store (scheduler guard
-    /// evaluation and in-place execution).
-    pub fn call_value_ro(
-        store: &Store,
-        id: PrimId,
-        m: PrimMethod,
-        args: &[Value],
-        cost: &mut Cost,
-    ) -> ExecResult<Value> {
-        cost.reads += 1;
-        store.call_value_at(id, m, args)
-    }
-
     /// Number of open frames (for tests).
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// True if the top frame has recorded a write to `id` (or any lower
-    /// frame has).
-    pub fn has_written(&self, id: PrimId) -> bool {
-        self.frames.iter().any(|f| f.written.contains(&id))
     }
 }
 

@@ -28,6 +28,10 @@
 //!   ([`persist::CheckpointPolicy`]), and cross-process live migration
 //!   ([`cosim::Cosim::resume_from_file`]) — a run killed at any instant
 //!   resumes bit- and cycle-identically in a fresh process.
+//! * [`workload`] is the one driver every evaluation application runs
+//!   through: an app supplies a [`workload::Workload`] (design, domain
+//!   map, input stream, sink) and the [`workload::Driver`] builds, runs,
+//!   recovers, autosaves, resumes and migrates it.
 //!
 //! ```
 //! use bcl_core::builder::{dsl::*, ModuleBuilder};
@@ -64,10 +68,11 @@ pub mod link;
 pub mod persist;
 pub mod transactor;
 pub mod wire;
+pub mod workload;
 
 pub use cosim::{Checkpoint, Cosim, CosimOutcome, PartitionLifecycle, RecoveryPolicy};
 pub use link::{
-    Dir, FaultConfig, FaultKind, Link, LinkConfig, LinkSnapshot, LinkStats, Message,
+    ml507_link, Dir, FaultConfig, FaultKind, Link, LinkConfig, LinkSnapshot, LinkStats, Message,
     PartitionFault, ScriptedFault,
 };
 pub use persist::{CheckpointPolicy, PersistError, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};

@@ -93,6 +93,17 @@ impl Default for LinkConfig {
     }
 }
 
+/// The modeled ML507 platform configuration used for all Figure 13
+/// measurements: the LocalLink defaults plus a driver that pays 32 CPU
+/// cycles per marshaled word — uncached PLB accesses plus cache
+/// management around the HDMA buffers, each tens of cycles on a PPC440.
+pub fn ml507_link() -> LinkConfig {
+    LinkConfig {
+        sw_word_cost: 32,
+        ..Default::default()
+    }
+}
+
 /// A message in flight: a marshaled value on one virtual channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {

@@ -11,17 +11,20 @@
 //! Ray Gen and the Bitmap always stay in software. The paper's findings:
 //! C is fastest (intersection engine plus scene in BRAM — only rays and
 //! hits cross the bus); B and D are *slower than all-software A* because
-//! each leaf visit pays a bus crossing.
+//! each leaf visit pays a bus crossing. Runs go through the shared
+//! [`Driver`]; this module supplies the [`Workload`].
 
 use crate::bcl::{build_design, image_of_values, RtConfig};
-use crate::bvh::{build_bvh, Bvh};
-use crate::geom::make_scene;
+use crate::bvh::Bvh;
+use bcl_core::design::Design;
 use bcl_core::domain::{HW, SW};
-use bcl_core::partition::partition;
-use bcl_core::sched::{ExecBackend, Strategy, SwOptions};
+use bcl_core::error::ElabError;
+use bcl_core::sched::ExecBackend;
 use bcl_core::value::Value;
-use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting, RecoveryPolicy};
-use bcl_platform::link::{FaultConfig, LinkConfig, LinkStats};
+use bcl_platform::cosim::RecoveryPolicy;
+pub use bcl_platform::link::ml507_link;
+use bcl_platform::link::{FaultConfig, LinkStats};
+use bcl_platform::workload::{Driver, Run, Workload};
 use bcl_platform::PlatformError;
 
 /// Domain name of the second accelerator in multi-accelerator
@@ -98,11 +101,50 @@ impl RtPartition {
     }
 }
 
-/// The modeled platform (same ML507 calibration as the Vorbis runs).
-pub fn ml507_link() -> LinkConfig {
-    LinkConfig {
-        sw_word_cost: 32,
-        ..Default::default()
+/// A partition tracing a scene: what the [`Driver`] runs.
+#[derive(Debug, Clone)]
+pub struct RtWorkload<'a> {
+    partition: RtPartition,
+    bvh: &'a Bvh,
+    cfg: RtConfig,
+}
+
+impl<'a> RtWorkload<'a> {
+    /// Partition `partition` tracing `bvh` at `width`×`height` pixels.
+    pub fn new(partition: RtPartition, bvh: &'a Bvh, width: usize, height: usize) -> Self {
+        RtWorkload {
+            partition,
+            bvh,
+            cfg: partition.config(width, height),
+        }
+    }
+
+    fn rays(&self) -> usize {
+        self.cfg.width * self.cfg.height
+    }
+}
+
+impl Workload for RtWorkload<'_> {
+    fn design(&self) -> Result<Design, ElabError> {
+        build_design(self.bvh, &self.cfg)
+    }
+
+    fn domains(&self) -> Vec<String> {
+        // Partition E's fault model lands on the traversal accelerator.
+        vec![self.cfg.trav.clone(), self.cfg.geom.clone()]
+    }
+
+    fn source(&self) -> (&str, Vec<Value>) {
+        let pixels = (0..self.rays() as i64).map(|p| Value::int(32, p));
+        ("pixSrc", pixels.collect())
+    }
+
+    fn sink(&self) -> (&str, usize) {
+        ("bitmap", self.rays())
+    }
+
+    fn cycle_budget(&self) -> u64 {
+        60_000 * self.rays() as u64 + 50_000
     }
 }
 
@@ -139,13 +181,31 @@ pub struct RtRun {
 }
 
 impl RtRun {
+    fn new(w: &RtWorkload, run: Run) -> RtRun {
+        let rays = w.rays();
+        RtRun {
+            partition: w.partition,
+            fpga_cycles: run.fpga_cycles,
+            sw_cpu_cycles: run.sw_cpu_cycles,
+            link: run.link,
+            image: image_of_values(&run.output, rays),
+            rays,
+            hw_partitions: run.hw_partitions,
+            failed_over: run.failed_over,
+            revived: run.revived,
+            guard_evals: run.guard_evals,
+            guard_evals_skipped: run.guard_evals_skipped,
+        }
+    }
+
     /// FPGA cycles per ray.
     pub fn cycles_per_ray(&self) -> f64 {
         self.fpga_cycles as f64 / self.rays.max(1) as f64
     }
 }
 
-/// Runs one partition over a scene.
+/// Runs one partition over a scene on the production path
+/// ([`ExecBackend::Compiled`]).
 ///
 /// # Errors
 ///
@@ -156,29 +216,19 @@ pub fn run_partition(
     width: usize,
     height: usize,
 ) -> Result<RtRun, PlatformError> {
-    run_partition_with_faults(which, bvh, width, height, FaultConfig::none())
+    let w = RtWorkload::new(which, bvh, width, height);
+    Ok(RtRun::new(&w, Driver::new(&w).run()?))
 }
 
-/// Runs one partition over a scene on a link with deterministic fault
-/// injection: the reliable transport must hide the faults, so the
-/// rendered image is bit-identical to a fault-free run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_with_faults(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-) -> Result<RtRun, PlatformError> {
-    run_partition_with_recovery(which, bvh, width, height, faults, RecoveryPolicy::Fail)
-}
+/// The production path under the name the cross-checks use: identical
+/// to [`run_partition`].
+pub use run_partition as run_partition_compiled;
 
-/// Runs one partition with a fault model and a recovery policy for
+/// Runs one partition with a link fault model and a recovery policy for
 /// scripted hardware-partition faults (checkpoint restart or software
 /// failover); the rendered image stays bit-identical to a fault-free run.
+/// The fault model applies to the first hardware partition — for
+/// partition E that is the traversal accelerator.
 ///
 /// # Errors
 ///
@@ -192,22 +242,15 @@ pub fn run_partition_with_recovery(
     faults: FaultConfig,
     policy: RecoveryPolicy,
 ) -> Result<RtRun, PlatformError> {
-    run_partition_full(
-        which,
-        bvh,
-        width,
-        height,
-        faults,
-        policy,
-        ExecBackend::Compiled,
-    )
+    let w = RtWorkload::new(which, bvh, width, height);
+    let run = Driver::new(&w).faults(faults).policy(policy).run()?;
+    Ok(RtRun::new(&w, run))
 }
 
 /// Runs one partition on the reference executor ([`ExecBackend::Naive`]:
 /// every guard re-evaluated every step by the AST interpreter). Cycle
 /// counts and the image are identical to [`run_partition`]; only
-/// simulator wall-clock time differs. Used as the test oracle and
-/// benchmark baseline for the production path.
+/// simulator wall-clock time differs.
 ///
 /// # Errors
 ///
@@ -218,323 +261,17 @@ pub fn run_partition_naive(
     width: usize,
     height: usize,
 ) -> Result<RtRun, PlatformError> {
-    run_partition_full(
-        which,
-        bvh,
-        width,
-        height,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        ExecBackend::Naive,
-    )
-}
-
-/// Runs one partition on the production path ([`ExecBackend::Compiled`]:
-/// closure-threaded native rules over the bit-packed flat arena) through
-/// the [`build_cosim`]/[`run_built`] split. Cycle counts and the image
-/// are identical to [`run_partition`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_compiled(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-) -> Result<RtRun, PlatformError> {
-    let cosim = build_cosim(which, bvh, width, height, ExecBackend::Compiled)?;
-    run_built(cosim, which, width * height)
-}
-
-/// Builds the fault-free co-simulation for a partition on the given
-/// executor backend, with the ray stream queued but nothing run yet.
-/// Together with [`run_built`] this splits a partition run into its
-/// one-time construction phase (elaborate + partition + lower rules)
-/// and its simulation phase, so benchmarks can time them separately.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn build_cosim(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    backend: ExecBackend,
-) -> Result<Cosim, PlatformError> {
-    make_cosim(
-        which,
-        bvh,
-        width,
-        height,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        backend,
-    )
-}
-
-/// Runs a co-simulation built by [`build_cosim`] to ray-stream
-/// completion — the simulation phase of a partition run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_built(cosim: Cosim, which: RtPartition, want: usize) -> Result<RtRun, PlatformError> {
-    finish_run(cosim, which, want, false)
-}
-
-/// Builds the co-simulation for a partition exactly as every run entry
-/// point does, with the ray stream queued. Deterministic in its
-/// arguments, so two processes calling it with the same arguments get
-/// interchangeable systems — the contract [`resume_partition`] and
-/// [`run_partition_migrated`] rely on (the design fingerprint pins it).
-pub fn make_cosim(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    backend: ExecBackend,
-) -> Result<Cosim, PlatformError> {
-    let cfg = which.config(width, height);
-    let design = build_design(bvh, &cfg).map_err(|e| PlatformError::new(e.to_string()))?;
-    let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
-    let sw_opts = SwOptions {
-        strategy: Strategy::Dataflow,
-        event_driven: backend.event_driven(),
-        flat: backend.flat(),
-        compiled: backend.compiled(),
-        ..Default::default()
-    };
-    // One link configuration per distinct hardware domain; the fault
-    // model (including scripted partition faults) applies to the first
-    // one — for partition E that is the traversal accelerator.
-    let mut hw_domains: Vec<&str> = Vec::new();
-    for d in [cfg.trav.as_str(), cfg.geom.as_str()] {
-        if d != SW && !hw_domains.contains(&d) {
-            hw_domains.push(d);
-        }
-    }
-    if hw_domains.is_empty() {
-        // Keep the two-domain configuration shape for all-software runs.
-        hw_domains.push(HW);
-    }
-    let cfgs: Vec<HwPartitionCfg> = hw_domains
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let c = HwPartitionCfg::new(d)
-                .with_link(ml507_link())
-                .with_event_driven(backend.event_driven())
-                .with_compiled(backend.compiled());
-            if i == 0 {
-                c.with_faults(faults.clone())
-            } else {
-                c
-            }
-        })
-        .collect();
-    let mut cosim = Cosim::multi(&parts, SW, &cfgs, InterHwRouting::ViaHub, sw_opts)?;
-    cosim.set_recovery_policy(policy);
-    let rays = width * height;
-    for p in 0..rays as i64 {
-        cosim.push_source("pixSrc", Value::int(32, p));
-    }
-    Ok(cosim)
-}
-
-/// Runs a built co-simulation to image completion and assembles the
-/// [`RtRun`]. Works identically for fresh and resumed systems.
-fn finish_run(
-    mut cosim: Cosim,
-    which: RtPartition,
-    rays: usize,
-    faulty: bool,
-) -> Result<RtRun, PlatformError> {
-    let mut max_cycles = 60_000u64 * rays as u64 + 50_000;
-    if faulty {
-        max_cycles = max_cycles.saturating_mul(500);
-    }
-    let outcome = cosim
-        .run_until(|c| c.sink_count("bitmap") == rays, max_cycles)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    if !outcome.is_done() {
-        return Err(PlatformError::new(format!(
-            "partition {} did not finish ({outcome:?}) with {}/{} pixels",
-            which.label(),
-            cosim.sink_count("bitmap"),
-            rays
-        )));
-    }
-    let (guard_evals, guard_evals_skipped) = cosim.guard_eval_totals();
-    Ok(RtRun {
-        partition: which,
-        fpga_cycles: outcome.fpga_cycles(),
-        sw_cpu_cycles: cosim.sw.cpu_cycles(),
-        link: cosim.link_stats(),
-        image: image_of_values(cosim.sink_values("bitmap"), rays),
-        rays,
-        hw_partitions: cosim.hw_partition_count(),
-        failed_over: cosim.failed_over(),
-        revived: cosim.revived(),
-        guard_evals,
-        guard_evals_skipped,
-    })
-}
-
-fn run_partition_full(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    backend: ExecBackend,
-) -> Result<RtRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let cosim = make_cosim(which, bvh, width, height, faults, policy, backend)?;
-    finish_run(cosim, which, width * height, faulty)
-}
-
-/// Runs a partition while autosaving crash-consistent snapshots every
-/// `interval` FPGA cycles into `dir` (see
-/// [`CheckpointPolicy`](bcl_platform::persist::CheckpointPolicy)). If
-/// the process dies mid-render, [`resume_partition`] picks the run back
-/// up from the latest complete autosave, bit- and cycle-identically.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus snapshot
-/// I/O failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_partition_autosaving(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    interval: u64,
-    dir: &std::path::Path,
-) -> Result<RtRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(
-        which,
-        bvh,
-        width,
-        height,
-        faults,
-        policy,
-        ExecBackend::Compiled,
-    )?;
-    cosim.set_autosave(bcl_platform::persist::CheckpointPolicy::new(interval, dir));
-    finish_run(cosim, which, width * height, faulty)
-}
-
-/// Resumes a render from a snapshot file written by an autosaving run
-/// (or an explicit [`Cosim::write_snapshot_file`]) in a fresh process:
-/// rebuilds the co-simulation from the same arguments, restores the
-/// snapshot into it, and finishes the image. The completed run is bit-
-/// and cycle-identical to one that was never interrupted.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus every typed
-/// snapshot error (corrupt bytes, wrong design, topology skew).
-pub fn resume_partition(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    snapshot: &std::path::Path,
-) -> Result<RtRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(
-        which,
-        bvh,
-        width,
-        height,
-        faults,
-        policy,
-        ExecBackend::Compiled,
-    )?;
-    cosim
-        .resume_from_file(snapshot)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    finish_run(cosim, which, width * height, faulty)
-}
-
-/// Live migration in-process: runs a partition to `split_cycle`,
-/// serializes the whole system to bytes, restores them into a *freshly
-/// built* co-simulation (exactly what a new process would construct),
-/// and finishes the image there. Returns the completed run and the
-/// snapshot size in bytes.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus every typed
-/// snapshot error.
-pub fn run_partition_migrated(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    split_cycle: u64,
-) -> Result<(RtRun, usize), PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut first = make_cosim(
-        which,
-        bvh,
-        width,
-        height,
-        faults.clone(),
-        policy,
-        ExecBackend::Compiled,
-    )?;
-    let out = first
-        .run_until(|c| c.fpga_cycles >= split_cycle, u64::MAX)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    if !out.is_done() {
-        return Err(PlatformError::new(format!(
-            "partition {} never reached split cycle {split_cycle} ({out:?})",
-            which.label()
-        )));
-    }
-    let bytes = first
-        .snapshot_bytes()
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    drop(first);
-    let mut second = make_cosim(
-        which,
-        bvh,
-        width,
-        height,
-        faults,
-        policy,
-        ExecBackend::Compiled,
-    )?;
-    second
-        .resume_from(&mut bytes.as_slice())
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    let run = finish_run(second, which, width * height, faulty)?;
-    Ok((run, bytes.len()))
-}
-
-/// Convenience: the paper's benchmark scene (1024 primitives).
-pub fn paper_scene(seed: u64) -> Bvh {
-    build_bvh(&make_scene(1024, seed))
+    let w = RtWorkload::new(which, bvh, width, height);
+    let run = Driver::new(&w).backend(ExecBackend::Naive).run()?;
+    Ok(RtRun::new(&w, run))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bvh::build_bvh;
     use crate::geom::gen_rays;
+    use crate::geom::make_scene;
     use crate::native::render;
 
     #[test]

@@ -13,14 +13,19 @@
 //!
 //! The input stream always originates in software (the Vorbis front end
 //! is plain C++ in the paper) and the PCM output is always consumed in
-//! software.
+//! software. Runs go through the shared [`Driver`]; this module supplies
+//! the [`Workload`].
 
 use crate::bcl::{build_design, frame_value, pcm_of_values, BackendOptions, VorbisDomains};
+use bcl_core::design::Design;
 use bcl_core::domain::{HW, SW};
-use bcl_core::partition::partition;
-use bcl_core::sched::{ExecBackend, Strategy, SwOptions};
-use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting, RecoveryPolicy};
-use bcl_platform::link::{FaultConfig, LinkConfig, LinkStats};
+use bcl_core::error::ElabError;
+use bcl_core::sched::ExecBackend;
+use bcl_core::value::Value;
+use bcl_platform::cosim::RecoveryPolicy;
+pub use bcl_platform::link::ml507_link;
+use bcl_platform::link::{FaultConfig, LinkStats};
+use bcl_platform::workload::{Driver, Run, Workload};
 use bcl_platform::PlatformError;
 
 /// Domain name of the second accelerator in multi-accelerator
@@ -113,14 +118,44 @@ impl VorbisPartition {
     }
 }
 
-/// The modeled ML507 platform configuration used for all Figure 13
-/// measurements: the LocalLink defaults plus a driver that pays 32 CPU
-/// cycles per marshaled word — uncached PLB accesses plus cache
-/// management around the HDMA buffers, each tens of cycles on a PPC440.
-pub fn ml507_link() -> LinkConfig {
-    LinkConfig {
-        sw_word_cost: 32,
-        ..Default::default()
+/// A partition decoding a frame stream: what the [`Driver`] runs.
+#[derive(Debug, Clone, Copy)]
+pub struct VorbisWorkload<'a> {
+    partition: VorbisPartition,
+    frames: &'a [Vec<i64>],
+}
+
+impl<'a> VorbisWorkload<'a> {
+    /// Partition `partition` decoding `frames`.
+    pub fn new(partition: VorbisPartition, frames: &'a [Vec<i64>]) -> Self {
+        VorbisWorkload { partition, frames }
+    }
+}
+
+impl Workload for VorbisWorkload<'_> {
+    fn design(&self) -> Result<Design, ElabError> {
+        build_design(&BackendOptions {
+            domains: self.partition.domains(),
+            ..Default::default()
+        })
+    }
+
+    fn domains(&self) -> Vec<String> {
+        let d = self.partition.domains();
+        vec![d.imdct, d.ifft, d.window]
+    }
+
+    fn source(&self) -> (&str, Vec<Value>) {
+        ("src", self.frames.iter().map(|f| frame_value(f)).collect())
+    }
+
+    fn sink(&self) -> (&str, usize) {
+        ("audioDev", self.frames.len())
+    }
+
+    fn cycle_budget(&self) -> u64 {
+        // Even the slowest partition needs < 40k cycles/frame.
+        40_000 * self.frames.len() as u64 + 10_000
     }
 }
 
@@ -156,13 +191,30 @@ pub struct VorbisRun {
 }
 
 impl VorbisRun {
+    fn new(w: &VorbisWorkload, run: Run) -> VorbisRun {
+        VorbisRun {
+            partition: w.partition,
+            fpga_cycles: run.fpga_cycles,
+            sw_cpu_cycles: run.sw_cpu_cycles,
+            link: run.link,
+            pcm: pcm_of_values(&run.output),
+            frames: w.frames.len(),
+            hw_partitions: run.hw_partitions,
+            failed_over: run.failed_over,
+            revived: run.revived,
+            guard_evals: run.guard_evals,
+            guard_evals_skipped: run.guard_evals_skipped,
+        }
+    }
+
     /// FPGA cycles per frame.
     pub fn cycles_per_frame(&self) -> f64 {
         self.fpga_cycles as f64 / self.frames.max(1) as f64
     }
 }
 
-/// Runs a partition over a frame stream on the modeled platform.
+/// Runs a partition over a frame stream on the modeled platform, on the
+/// production path ([`ExecBackend::Compiled`]).
 ///
 /// # Errors
 ///
@@ -172,36 +224,24 @@ pub fn run_partition(
     which: VorbisPartition,
     frames: &[Vec<i64>],
 ) -> Result<VorbisRun, PlatformError> {
-    run_partition_with_faults(which, frames, FaultConfig::none())
+    let w = VorbisWorkload::new(which, frames);
+    Ok(VorbisRun::new(&w, Driver::new(&w).run()?))
 }
 
-/// Runs a partition on a link with deterministic fault injection: the
-/// transactor's reliable transport must hide the faults, so the decoded
-/// PCM is bit-identical to a fault-free run (it just takes longer).
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_with_faults(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-) -> Result<VorbisRun, PlatformError> {
-    run_partition_with_recovery(which, frames, faults, RecoveryPolicy::Fail)
-}
+/// The production path under the name the cross-checks use: identical
+/// to [`run_partition`].
+pub use run_partition as run_partition_compiled;
 
-/// Runs a partition with both a fault model and a recovery policy for
-/// scripted hardware-partition faults: restart-from-checkpoint replays to
-/// the exact fault-free trajectory, failover-to-software finishes the
-/// stream with the lost partition fused into software (any other
-/// accelerators keep running in hardware). Either way the decoded PCM is
-/// bit-identical to a fault-free run.
+/// Runs a partition with a link fault model and a recovery policy for
+/// scripted hardware-partition faults: the reliable transport hides
+/// link faults, restart-from-checkpoint replays to the exact fault-free
+/// trajectory, failover-to-software finishes the stream with the lost
+/// partition fused into software (any other accelerators keep running
+/// in hardware). Either way the decoded PCM is bit-identical to a
+/// fault-free run.
 ///
-/// The fault model (including scripted partition faults) applies to the
-/// *first* hardware partition — for the multi-accelerator partition G
-/// that is the IMDCT+IFFT accelerator; the window accelerator runs on a
-/// clean link. Channels between two accelerators route through the
-/// software hub, as on the paper's bus-attached platform.
+/// The fault model applies to the *first* hardware partition — for the
+/// multi-accelerator partition G that is the IMDCT+IFFT accelerator.
 ///
 /// # Errors
 ///
@@ -213,14 +253,15 @@ pub fn run_partition_with_recovery(
     faults: FaultConfig,
     policy: RecoveryPolicy,
 ) -> Result<VorbisRun, PlatformError> {
-    run_partition_full(which, frames, faults, policy, ExecBackend::Compiled)
+    let w = VorbisWorkload::new(which, frames);
+    let run = Driver::new(&w).faults(faults).policy(policy).run()?;
+    Ok(VorbisRun::new(&w, run))
 }
 
 /// Runs a partition on the reference executor ([`ExecBackend::Naive`]:
 /// every guard re-evaluated every step by the AST interpreter). Cycle
 /// counts and PCM are identical to [`run_partition`]; only simulator
-/// wall-clock time differs. Used as the test oracle and benchmark
-/// baseline for the production path.
+/// wall-clock time differs.
 ///
 /// # Errors
 ///
@@ -229,270 +270,9 @@ pub fn run_partition_naive(
     which: VorbisPartition,
     frames: &[Vec<i64>],
 ) -> Result<VorbisRun, PlatformError> {
-    run_partition_full(
-        which,
-        frames,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        ExecBackend::Naive,
-    )
-}
-
-/// Runs a partition on the production path ([`ExecBackend::Compiled`]:
-/// closure-threaded native rules over the bit-packed flat arena) through
-/// the [`build_cosim`]/[`run_built`] split. Cycle counts and PCM are
-/// identical to [`run_partition`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_compiled(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-) -> Result<VorbisRun, PlatformError> {
-    run_built(
-        build_cosim(which, frames, ExecBackend::Compiled)?,
-        which,
-        frames.len(),
-    )
-}
-
-/// Builds the fault-free co-simulation for a partition on the given
-/// executor backend, with the input frames queued but nothing run yet.
-/// Together with [`run_built`] this splits a partition run into its
-/// one-time construction phase (elaborate + partition + lower rules)
-/// and its simulation phase, so benchmarks can time them separately.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn build_cosim(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    backend: ExecBackend,
-) -> Result<Cosim, PlatformError> {
-    make_cosim(
-        which,
-        frames,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        backend,
-    )
-}
-
-/// Runs a co-simulation built by [`build_cosim`] to stream completion —
-/// the simulation phase of a partition run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_built(
-    cosim: Cosim,
-    which: VorbisPartition,
-    want: usize,
-) -> Result<VorbisRun, PlatformError> {
-    finish_run(cosim, which, want, false)
-}
-
-/// Builds the co-simulation for a partition exactly as every run entry
-/// point does, with the input frames queued. Deterministic in its
-/// arguments, so two processes calling it with the same arguments get
-/// interchangeable systems — the contract [`resume_partition`] and
-/// [`run_partition_migrated`] rely on (the design fingerprint pins it).
-pub fn make_cosim(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    backend: ExecBackend,
-) -> Result<Cosim, PlatformError> {
-    let domains = which.domains();
-    let opts = BackendOptions {
-        domains: domains.clone(),
-        ..Default::default()
-    };
-    let design = build_design(&opts).map_err(|e| PlatformError::new(e.to_string()))?;
-    let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
-    let sw_opts = SwOptions {
-        strategy: Strategy::Dataflow,
-        event_driven: backend.event_driven(),
-        flat: backend.flat(),
-        compiled: backend.compiled(),
-        ..Default::default()
-    };
-    let mut hw_domains: Vec<&str> = Vec::new();
-    for d in [&domains.imdct, &domains.ifft, &domains.window] {
-        if d != SW && !hw_domains.contains(&d.as_str()) {
-            hw_domains.push(d);
-        }
-    }
-    if hw_domains.is_empty() {
-        // Keep the two-domain configuration shape for all-software runs.
-        hw_domains.push(HW);
-    }
-    let cfgs: Vec<HwPartitionCfg> = hw_domains
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let cfg = HwPartitionCfg::new(d)
-                .with_link(ml507_link())
-                .with_event_driven(backend.event_driven())
-                .with_compiled(backend.compiled());
-            if i == 0 {
-                cfg.with_faults(faults.clone())
-            } else {
-                cfg
-            }
-        })
-        .collect();
-    let mut cosim = Cosim::multi(&parts, SW, &cfgs, InterHwRouting::ViaHub, sw_opts)?;
-    cosim.set_recovery_policy(policy);
-    for f in frames {
-        cosim.push_source("src", frame_value(f));
-    }
-    Ok(cosim)
-}
-
-/// Runs a built co-simulation to stream completion and assembles the
-/// [`VorbisRun`]. Works identically for fresh and resumed systems.
-fn finish_run(
-    mut cosim: Cosim,
-    which: VorbisPartition,
-    want: usize,
-    faulty: bool,
-) -> Result<VorbisRun, PlatformError> {
-    // Generous bound: even the slowest partition needs < 40k cycles/frame.
-    // Heavy fault injection multiplies that by retransmission rounds.
-    let mut max_cycles = 40_000u64 * want as u64 + 10_000;
-    if faulty {
-        max_cycles = max_cycles.saturating_mul(500);
-    }
-    let outcome = cosim
-        .run_until(|c| c.sink_count("audioDev") == want, max_cycles)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    if !outcome.is_done() {
-        return Err(PlatformError::new(format!(
-            "partition {} did not finish ({outcome:?}) with {}/{} frames",
-            which.label(),
-            cosim.sink_count("audioDev"),
-            want
-        )));
-    }
-    let (guard_evals, guard_evals_skipped) = cosim.guard_eval_totals();
-    Ok(VorbisRun {
-        partition: which,
-        fpga_cycles: outcome.fpga_cycles(),
-        sw_cpu_cycles: cosim.sw.cpu_cycles(),
-        link: cosim.link_stats(),
-        pcm: pcm_of_values(cosim.sink_values("audioDev")),
-        frames: want,
-        hw_partitions: cosim.hw_partition_count(),
-        failed_over: cosim.failed_over(),
-        revived: cosim.revived(),
-        guard_evals,
-        guard_evals_skipped,
-    })
-}
-
-fn run_partition_full(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    backend: ExecBackend,
-) -> Result<VorbisRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let cosim = make_cosim(which, frames, faults, policy, backend)?;
-    finish_run(cosim, which, frames.len(), faulty)
-}
-
-/// Runs a partition while autosaving crash-consistent snapshots every
-/// `interval` FPGA cycles into `dir` (see
-/// [`CheckpointPolicy`](bcl_platform::persist::CheckpointPolicy)). If
-/// the process dies mid-decode, [`resume_partition`] picks the run back
-/// up from the latest complete autosave, bit- and cycle-identically.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus snapshot
-/// I/O failures.
-pub fn run_partition_autosaving(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    interval: u64,
-    dir: &std::path::Path,
-) -> Result<VorbisRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, frames, faults, policy, ExecBackend::Compiled)?;
-    cosim.set_autosave(bcl_platform::persist::CheckpointPolicy::new(interval, dir));
-    finish_run(cosim, which, frames.len(), faulty)
-}
-
-/// Resumes a decode from a snapshot file written by an autosaving run
-/// (or an explicit [`Cosim::write_snapshot_file`]) in a fresh process:
-/// rebuilds the co-simulation from the same arguments, restores the
-/// snapshot into it, and finishes the stream. The completed run is bit-
-/// and cycle-identical to one that was never interrupted.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus every typed
-/// snapshot error (corrupt bytes, wrong design, topology skew).
-pub fn resume_partition(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    snapshot: &std::path::Path,
-) -> Result<VorbisRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, frames, faults, policy, ExecBackend::Compiled)?;
-    cosim
-        .resume_from_file(snapshot)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    finish_run(cosim, which, frames.len(), faulty)
-}
-
-/// Live migration in-process: runs a partition to `split_cycle`,
-/// serializes the whole system to bytes, restores them into a *freshly
-/// built* co-simulation (exactly what a new process would construct),
-/// and finishes the stream there. Returns the completed run and the
-/// snapshot size in bytes.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus every typed
-/// snapshot error.
-pub fn run_partition_migrated(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    split_cycle: u64,
-) -> Result<(VorbisRun, usize), PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut first = make_cosim(which, frames, faults.clone(), policy, ExecBackend::Compiled)?;
-    let out = first
-        .run_until(|c| c.fpga_cycles >= split_cycle, u64::MAX)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    if !out.is_done() {
-        return Err(PlatformError::new(format!(
-            "partition {} never reached split cycle {split_cycle} ({out:?})",
-            which.label()
-        )));
-    }
-    let bytes = first
-        .snapshot_bytes()
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    drop(first);
-    let mut second = make_cosim(which, frames, faults, policy, ExecBackend::Compiled)?;
-    second
-        .resume_from(&mut bytes.as_slice())
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    let run = finish_run(second, which, frames.len(), faulty)?;
-    Ok((run, bytes.len()))
+    let w = VorbisWorkload::new(which, frames);
+    let run = Driver::new(&w).backend(ExecBackend::Naive).run()?;
+    Ok(VorbisRun::new(&w, run))
 }
 
 #[cfg(test)]

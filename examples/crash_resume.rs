@@ -12,12 +12,10 @@
 //! cargo run --release --example crash_resume
 //! ```
 
-use bcl_platform::cosim::RecoveryPolicy;
-use bcl_platform::link::FaultConfig;
+use bcl_platform::persist::CheckpointPolicy;
+use bcl_platform::workload::Driver;
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{
-    resume_partition, run_partition, run_partition_autosaving, VorbisPartition,
-};
+use bcl_vorbis::partitions::{VorbisPartition, VorbisWorkload};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -31,28 +29,25 @@ fn frames() -> Vec<Vec<i64>> {
 /// Child half: decode with autosave armed. This process will be killed
 /// without warning; it never gets to exit cleanly.
 fn child(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
-    run_partition_autosaving(
-        VorbisPartition::E,
-        &frames(),
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        AUTOSAVE_INTERVAL,
-        dir,
-    )?;
+    let frames = frames();
+    let workload = VorbisWorkload::new(VorbisPartition::E, &frames);
+    Driver::new(&workload).run_autosaving(CheckpointPolicy::new(AUTOSAVE_INTERVAL, dir))?;
     Ok(())
 }
 
 fn parent() -> Result<(), Box<dyn std::error::Error>> {
     let frames = frames();
+    let workload = VorbisWorkload::new(VorbisPartition::E, &frames);
     let dir = std::env::temp_dir().join(format!("bcl_crash_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
     let snapshot = dir.join("autosave.bckp");
 
     // The uninterrupted reference the resumed run must match exactly.
-    let reference = run_partition(VorbisPartition::E, &frames)?;
+    let reference = Driver::new(&workload).run()?;
     println!(
         "reference:  {} frames in {} cycles",
-        reference.frames, reference.fpga_cycles
+        reference.output.len(),
+        reference.fpga_cycles
     );
 
     let mut worker = Command::new(std::env::current_exe()?)
@@ -81,19 +76,14 @@ fn parent() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::metadata(&snapshot)?.len()
     );
 
-    let resumed = resume_partition(
-        VorbisPartition::E,
-        &frames,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        &snapshot,
-    )?;
+    let resumed = Driver::new(&workload).resume_from_file(&snapshot)?;
     println!(
         "resumed:    {} frames in {} cycles",
-        resumed.frames, resumed.fpga_cycles
+        resumed.output.len(),
+        resumed.fpga_cycles
     );
 
-    let ok = resumed.pcm == reference.pcm && resumed.fpga_cycles == reference.fpga_cycles;
+    let ok = resumed.output == reference.output && resumed.fpga_cycles == reference.fpga_cycles;
     println!(
         "\nresumed run is bit- and cycle-identical: {}",
         if ok { "yes" } else { "NO!" }

@@ -16,10 +16,10 @@ use bcl_core::program::Program;
 use bcl_core::sched::SwOptions;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
-use bcl_platform::cosim::{Cosim, CosimOutcome};
+use bcl_platform::cosim::{Cosim, CosimOutcome, RecoveryPolicy};
 use bcl_platform::link::{FaultConfig, LinkConfig};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{run_partition, run_partition_with_faults, VorbisPartition};
+use bcl_vorbis::partitions::{run_partition, run_partition_with_recovery, VorbisPartition};
 
 fn dead_direction_demo() -> Result<(), Box<dyn std::error::Error>> {
     let mut m = ModuleBuilder::new("Echo");
@@ -90,7 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clean.fpga_cycles
     );
 
-    let faulty = run_partition_with_faults(VorbisPartition::E, &frames, faults.clone())?;
+    let faulty = run_partition_with_recovery(
+        VorbisPartition::E,
+        &frames,
+        faults.clone(),
+        RecoveryPolicy::Fail,
+    )?;
     let s = &faulty.link;
     println!(
         "faulty link: {} PCM samples, {} FPGA cycles (seed {seed}, \
@@ -116,7 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    let again = run_partition_with_faults(VorbisPartition::E, &frames, faults)?;
+    let again =
+        run_partition_with_recovery(VorbisPartition::E, &frames, faults, RecoveryPolicy::Fail)?;
     println!(
         "  same seed reproduces exactly: {}",
         if again.fpga_cycles == faulty.fpga_cycles && again.link == faulty.link {

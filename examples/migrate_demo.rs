@@ -12,11 +12,9 @@
 //! cargo run --release --example migrate_demo
 //! ```
 
-use bcl_core::sched::ExecBackend;
-use bcl_platform::cosim::{Cosim, RecoveryPolicy};
-use bcl_platform::link::FaultConfig;
+use bcl_platform::workload::{Driver, Run};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{make_cosim, VorbisPartition};
+use bcl_vorbis::partitions::{VorbisPartition, VorbisWorkload};
 use std::io::{Read, Write};
 use std::process::{Command, Stdio};
 
@@ -26,53 +24,42 @@ fn frames() -> Vec<Vec<i64>> {
     frame_stream(3, 21)
 }
 
-/// The co-simulation both processes build — identical by construction,
-/// which is exactly what the snapshot's design fingerprint certifies.
-fn build() -> Result<Cosim, Box<dyn std::error::Error>> {
-    Ok(make_cosim(
-        VorbisPartition::E,
-        &frames(),
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        ExecBackend::Compiled,
-    )?)
-}
-
-/// Runs a (fresh or resumed) co-simulation to stream completion and
-/// reduces the PCM to a hash so it fits on one stdout line.
-fn finish(cosim: &mut Cosim) -> Result<(u64, u64), Box<dyn std::error::Error>> {
-    let want = frames().len();
-    let out = cosim.run_until(|c| c.sink_count("audioDev") == want, 10_000_000)?;
-    if !out.is_done() {
-        return Err(format!("decode did not finish: {out:?}").into());
-    }
+/// Reduces a finished decode to its cycle count and a PCM hash that
+/// fits on one stdout line.
+fn summary(run: &Run) -> (u64, u64) {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for x in bcl_vorbis::bcl::pcm_of_values(cosim.sink_values("audioDev")) {
+    for x in bcl_vorbis::bcl::pcm_of_values(&run.output) {
         hash = (hash ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    Ok((out.fpga_cycles(), hash))
+    (run.fpga_cycles, hash)
 }
 
 /// Child half: read a snapshot from stdin, restore it into a freshly
 /// elaborated system, finish the decode, report the result upstream.
+/// Both processes build the system through the same driver — identical
+/// by construction, which is exactly what the snapshot's design
+/// fingerprint certifies.
 fn child() -> Result<(), Box<dyn std::error::Error>> {
-    let mut cosim = build()?;
-    let resumed_at = {
-        let mut stdin = std::io::stdin().lock();
-        cosim.resume_from(&mut stdin)?;
-        cosim.fpga_cycles
-    };
-    let (cycles, hash) = finish(&mut cosim)?;
+    let frames = frames();
+    let workload = VorbisWorkload::new(VorbisPartition::E, &frames);
+    let driver = Driver::new(&workload);
+    let mut cosim = driver.build()?;
+    cosim.resume_from(&mut std::io::stdin().lock())?;
+    let resumed_at = cosim.fpga_cycles;
+    let (cycles, hash) = summary(&driver.finish(cosim)?);
     println!("resumed_at={resumed_at} cycles={cycles} pcm_hash={hash:016x}");
     Ok(())
 }
 
 fn parent() -> Result<(), Box<dyn std::error::Error>> {
     // The uninterrupted reference the migrated run must match exactly.
-    let (ref_cycles, ref_hash) = finish(&mut build()?)?;
+    let frames = frames();
+    let workload = VorbisWorkload::new(VorbisPartition::E, &frames);
+    let driver = Driver::new(&workload);
+    let (ref_cycles, ref_hash) = summary(&driver.run()?);
     println!("reference:  cycles={ref_cycles} pcm_hash={ref_hash:016x}");
 
-    let mut cosim = build()?;
+    let mut cosim = driver.build()?;
     let out = cosim.run_until(|c| c.fpga_cycles >= SPLIT_CYCLE, 10_000_000)?;
     if !out.is_done() {
         return Err(format!("never reached the split point: {out:?}").into());

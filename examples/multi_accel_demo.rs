@@ -15,11 +15,12 @@ use bcl_core::domain::SW;
 use bcl_core::partition::partition;
 use bcl_core::sched::{Strategy, SwOptions};
 use bcl_platform::cosim::{Cosim, CosimOutcome, HwPartitionCfg, InterHwRouting, RecoveryPolicy};
+use bcl_platform::link::ml507_link;
 use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_vorbis::bcl::{build_design, frame_value, pcm_of_values, BackendOptions};
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::native::NativeBackend;
-use bcl_vorbis::partitions::{ml507_link, VorbisPartition, HW2};
+use bcl_vorbis::partitions::{VorbisPartition, HW2};
 
 struct DemoRun {
     pcm: Vec<i64>,

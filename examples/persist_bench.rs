@@ -14,10 +14,12 @@ use bcl_core::program::Program;
 use bcl_core::sched::SwOptions;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
-use bcl_platform::cosim::{Checkpoint, Cosim, RecoveryPolicy};
+use bcl_platform::cosim::{Checkpoint, Cosim};
 use bcl_platform::link::{FaultConfig, LinkConfig};
+use bcl_platform::persist::CheckpointPolicy;
+use bcl_platform::workload::Driver;
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{run_partition, run_partition_autosaving, VorbisPartition};
+use bcl_vorbis::partitions::{run_partition, VorbisPartition, VorbisWorkload};
 use std::time::Instant;
 
 /// The failback demo's offload kernel with a `scratch`-entry register
@@ -126,16 +128,10 @@ fn autosave_overhead() -> Result<(), Box<dyn std::error::Error>> {
         "{:>10} {:>10} {:>12} {:>10}",
         "interval", "saves", "wall (ms)", "overhead"
     );
+    let workload = VorbisWorkload::new(VorbisPartition::E, &frames);
     for interval in [2_000u64, 500, 100] {
         let t = Instant::now();
-        let run = run_partition_autosaving(
-            VorbisPartition::E,
-            &frames,
-            FaultConfig::none(),
-            RecoveryPolicy::Fail,
-            interval,
-            &dir,
-        )?;
+        let run = Driver::new(&workload).run_autosaving(CheckpointPolicy::new(interval, &dir))?;
         let wall = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             run.fpga_cycles, baseline.1,

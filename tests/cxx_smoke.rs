@@ -10,11 +10,11 @@
 //! Skips gracefully (with a message) when no C++ compiler is on PATH.
 
 use bcl_backend::cxx::{emit_cxx_harness, flatten_value, CxxOptions};
-use bcl_core::sched::ExecBackend;
 use bcl_core::value::Value;
+use bcl_platform::workload::Driver;
 use bcl_vorbis::bcl::{build_design, frame_value, BackendOptions};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{build_cosim, VorbisPartition};
+use bcl_vorbis::partitions::{VorbisPartition, VorbisWorkload};
 use std::process::Command;
 
 /// Locates a working C++ compiler, trying the usual names.
@@ -31,18 +31,11 @@ fn find_cxx() -> Option<&'static str> {
 /// Runs the simulator on `frames` and returns the sink stream flattened
 /// to the decimal-leaf form the generated C++ program prints.
 fn simulator_sink_leaves(frames: &[Vec<i64>]) -> Vec<i64> {
-    let mut cosim = build_cosim(VorbisPartition::F, frames, ExecBackend::Compiled).unwrap();
-    let want = frames.len();
-    cosim
-        .run_until(|c| c.sink_count("audioDev") == want, 1_000_000)
-        .unwrap();
-    assert_eq!(
-        cosim.sink_count("audioDev"),
-        want,
-        "simulator did not drain"
-    );
+    let run = Driver::new(&VorbisWorkload::new(VorbisPartition::F, frames))
+        .run()
+        .expect("simulator did not drain");
     let mut out = Vec::new();
-    for v in cosim.sink_values("audioDev") {
+    for v in &run.output {
         flatten_value(v, &mut out);
     }
     out

@@ -14,17 +14,18 @@
 
 use bcl_platform::cosim::RecoveryPolicy;
 use bcl_platform::link::{FaultConfig, PartitionFault};
+use bcl_platform::workload::Driver;
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
 use bcl_raytrace::partitions::{
-    run_partition_compiled as rt_run_compiled, run_partition_migrated as rt_run_migrated,
-    run_partition_naive as rt_run_naive, RtPartition,
+    run_partition_compiled as rt_run_compiled, run_partition_naive as rt_run_naive, RtPartition,
+    RtWorkload,
 };
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{
     run_partition as vorbis_run, run_partition_compiled as vorbis_run_compiled,
-    run_partition_migrated as vorbis_run_migrated, run_partition_naive as vorbis_run_naive,
-    run_partition_with_recovery as vorbis_run_recovery, VorbisPartition,
+    run_partition_naive as vorbis_run_naive, run_partition_with_recovery as vorbis_run_recovery,
+    VorbisPartition, VorbisWorkload,
 };
 
 /// (partition, fpga_cycles, sw_cpu_cycles) on `frame_stream(3, 21)`.
@@ -171,14 +172,9 @@ fn vorbis_checkpoint_restore_keeps_pinned_cycles() {
     let picks = [VorbisPartition::B, VorbisPartition::E, VorbisPartition::G];
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE.iter().filter(|(p, ..)| picks.contains(p)) {
-        let (run, bytes) = vorbis_run_migrated(
-            p,
-            &frames,
-            FaultConfig::none(),
-            RecoveryPolicy::Fail,
-            fpga / 2,
-        )
-        .unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        let (run, bytes) = Driver::new(&VorbisWorkload::new(p, &frames))
+            .migrate_at(fpga / 2)
+            .unwrap_or_else(|e| panic!("{p:?}: {e}"));
         assert!(bytes > 0, "partition {} snapshot is empty", p.label());
         if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
             failures.push(format!(
@@ -201,16 +197,9 @@ fn raytrace_checkpoint_restore_keeps_pinned_cycles() {
         .iter()
         .find(|(p, ..)| *p == RtPartition::E)
         .unwrap();
-    let (run, bytes) = rt_run_migrated(
-        p,
-        &bvh,
-        4,
-        4,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        fpga / 2,
-    )
-    .unwrap_or_else(|e| panic!("{p:?}: {e}"));
+    let (run, bytes) = Driver::new(&RtWorkload::new(p, &bvh, 4, 4))
+        .migrate_at(fpga / 2)
+        .unwrap_or_else(|e| panic!("{p:?}: {e}"));
     assert!(bytes > 0, "snapshot is empty");
     assert_eq!(
         (run.fpga_cycles, run.sw_cpu_cycles),

@@ -18,9 +18,10 @@ use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_platform::cosim::{Cosim, CosimOutcome, RecoveryPolicy};
 use bcl_platform::link::{FaultConfig, LinkConfig, PartitionFault};
+use bcl_platform::workload::Driver;
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{
-    run_partition, run_partition_with_faults, run_partition_with_recovery, VorbisPartition,
+    run_partition, run_partition_with_recovery, VorbisPartition, VorbisWorkload,
 };
 use proptest::prelude::*;
 
@@ -312,11 +313,11 @@ proptest! {
         // Partition E (full back-end in HW) crosses the link once in each
         // direction per frame — every fault lands on real payload.
         let frames = frame_stream(2, 11);
-        let clean = run_partition(VorbisPartition::E, &frames).unwrap();
-        let faulty =
-            run_partition_with_faults(VorbisPartition::E, &frames, faults.clone()).unwrap();
-        prop_assert_eq!(&faulty.pcm, &clean.pcm, "PCM must be bit-identical");
-        let again = run_partition_with_faults(VorbisPartition::E, &frames, faults).unwrap();
+        let workload = VorbisWorkload::new(VorbisPartition::E, &frames);
+        let clean = Driver::new(&workload).run().unwrap();
+        let faulty = Driver::new(&workload).faults(faults.clone()).run().unwrap();
+        prop_assert_eq!(&faulty.output, &clean.output, "PCM must be bit-identical");
+        let again = Driver::new(&workload).faults(faults).run().unwrap();
         prop_assert_eq!(faulty.fpga_cycles, again.fpga_cycles, "cycles must reproduce");
         prop_assert_eq!(faulty.link, again.link, "fault tally must reproduce");
     }
